@@ -15,21 +15,31 @@ byte.  This module pins that contract:
   (``tests/golden/golden_runmetrics.json``), returning a list of
   human-readable mismatches; empty means bit-identical.
 
-``repro check`` runs :func:`verify_golden` as a dedicated gate stage, and
-``tests/integration/test_golden_stats.py`` runs it under pytest.  To
-re-baseline after an *intentional* behaviour change::
+* :func:`wide_grid` / :func:`verify_wide` pin a second, *digest-only*
+  snapshot (``tests/golden/wide_digests.json``): the sha256 of the
+  RunMetrics JSON of every workload profile × {eager, lazy, row} × both
+  consistency models at a tiny scale.  It was generated through the plain
+  per-stage pipeline, the commit before that second implementation was
+  deleted; the one remaining pipeline must reproduce it forever.
 
-    PYTHONPATH=src python -m repro.analysis.golden tests/golden/golden_runmetrics.json
+``repro check`` runs :func:`verify_golden` and :func:`verify_wide` as a
+dedicated gate stage, and ``tests/integration/test_golden_stats.py`` runs
+them under pytest.  To re-baseline both files after an *intentional*
+behaviour change::
+
+    PYTHONPATH=src python -m repro.analysis.golden
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 import pathlib
 
 from repro.analysis.runner import RunMetrics
 from repro.common.params import AtomicMode, SystemParams
 from repro.sim.multicore import simulate
+from repro.workloads.profiles import WORKLOADS
 from repro.workloads.synthetic import build_program
 
 #: Workloads in the reference grid: one contended atomic-intensive profile
@@ -59,6 +69,16 @@ DEFAULT_SNAPSHOT = (
 )
 
 
+#: The wide digest grid: every profile, the paper's three policies, both
+#: consistency models, at a scale where all 108 cells take a few seconds.
+WIDE_MODES = (AtomicMode.EAGER, AtomicMode.LAZY, AtomicMode.ROW)
+WIDE_MODELS = ("tso", "relaxed")
+WIDE_THREADS = 2
+WIDE_INSTRUCTIONS = 500
+WIDE_SEED = 1
+WIDE_SNAPSHOT = DEFAULT_SNAPSHOT.with_name("wide_digests.json")
+
+
 def golden_params(mode: AtomicMode) -> SystemParams:
     """The pinned system configuration for one grid cell."""
     base = SystemParams.quick()
@@ -78,6 +98,17 @@ def golden_grid() -> list[tuple[str, AtomicMode, str]]:
     ]
 
 
+def wide_grid() -> list[tuple[str, AtomicMode, str, str]]:
+    """``(label, mode, workload, consistency model)`` rows of the digest
+    matrix."""
+    return [
+        (f"{workload}/{mode.value}/{model}", mode, workload, model)
+        for workload in WORKLOADS
+        for mode in WIDE_MODES
+        for model in WIDE_MODELS
+    ]
+
+
 def _run_cell(mode: AtomicMode, workload: str) -> str:
     program = build_program(
         workload, GOLDEN_THREADS, GOLDEN_INSTRUCTIONS, seed=GOLDEN_SEED
@@ -92,20 +123,40 @@ def compute_golden() -> dict[str, str]:
             for label, mode, workload in golden_grid()}
 
 
+def _wide_digest(mode: AtomicMode, workload: str, model: str) -> str:
+    program = build_program(
+        workload, WIDE_THREADS, WIDE_INSTRUCTIONS, seed=WIDE_SEED
+    )
+    params = golden_params(mode).with_consistency_model(model)
+    text = RunMetrics.from_result(simulate(params, program)).to_json()
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def compute_wide() -> dict[str, str]:
+    """Simulate the digest grid; ``{label: sha256 of the RunMetrics JSON}``."""
+    return {label: _wide_digest(mode, workload, model)
+            for label, mode, workload, model in wide_grid()}
+
+
 def load_snapshot(path: str | pathlib.Path | None = None) -> dict[str, str]:
     snapshot_path = pathlib.Path(path) if path is not None else DEFAULT_SNAPSHOT
     with open(snapshot_path, encoding="utf-8") as fh:
         return json.load(fh)
 
 
-def write_snapshot(path: str | pathlib.Path | None = None) -> pathlib.Path:
-    """Re-baseline: simulate the grid and write the snapshot file."""
-    snapshot_path = pathlib.Path(path) if path is not None else DEFAULT_SNAPSHOT
+def _write_json(snapshot_path: pathlib.Path, payload: dict[str, str]) -> None:
     snapshot_path.parent.mkdir(parents=True, exist_ok=True)
-    payload = compute_golden()
     with open(snapshot_path, "w", encoding="utf-8") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
+
+
+def write_snapshot(path: str | pathlib.Path | None = None) -> pathlib.Path:
+    """Re-baseline: simulate both grids and write the snapshot file and,
+    beside it, the digest file."""
+    snapshot_path = pathlib.Path(path) if path is not None else DEFAULT_SNAPSHOT
+    _write_json(snapshot_path, compute_golden())
+    _write_json(snapshot_path.with_name(WIDE_SNAPSHOT.name), compute_wide())
     return snapshot_path
 
 
@@ -145,11 +196,24 @@ def verify_golden(
     return mismatches
 
 
+def verify_wide(path: str | pathlib.Path | None = None) -> list[str]:
+    """Diff freshly simulated digests against ``wide_digests.json``
+    (empty == every cell bit-identical)."""
+    snapshot = load_snapshot(path if path is not None else WIDE_SNAPSHOT)
+    return [
+        f"{label}: RunMetrics digest drifted"
+        f" ({snapshot.get(label, 'missing')[:12]} -> {digest[:12]})"
+        for label, digest in compute_wide().items()
+        if snapshot.get(label) != digest
+    ]
+
+
 def main(argv: list[str] | None = None) -> int:  # pragma: no cover - tool
     import argparse
 
     parser = argparse.ArgumentParser(
-        description="(Re-)baseline the golden RunMetrics snapshot."
+        description="(Re-)baseline the golden RunMetrics snapshot and the"
+        " wide digest snapshot beside it."
     )
     parser.add_argument(
         "path", nargs="?", default=None,
@@ -157,7 +221,7 @@ def main(argv: list[str] | None = None) -> int:  # pragma: no cover - tool
     )
     args = parser.parse_args(argv)
     path = write_snapshot(args.path)
-    print(f"wrote golden snapshot {path}")
+    print(f"wrote golden snapshot {path} and {WIDE_SNAPSHOT.name} beside it")
     return 0
 
 

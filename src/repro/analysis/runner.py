@@ -16,8 +16,6 @@ has been removed; see the migration table in docs/api.md.
 from __future__ import annotations
 
 import json
-import os
-import warnings
 from dataclasses import dataclass, field, fields
 
 from repro.common.params import (
@@ -59,24 +57,9 @@ def scale_by_name(name: str) -> ExperimentScale:
 
 
 def default_scale(name: str | None = None) -> ExperimentScale:
-    """Resolve an explicit scale name, defaulting to ``quick``.
-
-    Passing ``name`` (e.g. from a CLI ``--scale`` flag) is the supported
-    way to select a scale.  When no name is given, the ``REPRO_SCALE``
-    environment variable is honoured as a deprecated fallback.
-    """
-    if name is not None:
-        return scale_by_name(name)
-    env = os.environ.get("REPRO_SCALE")
-    if env is not None:
-        warnings.warn(
-            "implicit scale selection through REPRO_SCALE is deprecated;"
-            " pass scale= explicitly (CLI: --scale)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return scale_by_name(env)
-    return QUICK
+    """Resolve an explicit scale name (e.g. from a CLI ``--scale`` flag),
+    defaulting to ``quick``.  No environment variable is consulted."""
+    return scale_by_name(name) if name is not None else QUICK
 
 
 def base_params(scale: ExperimentScale) -> SystemParams:

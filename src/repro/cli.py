@@ -277,15 +277,21 @@ def cmd_effects(args) -> int:
 
 
 def _check_golden() -> int:
-    """Golden-stats gate: re-simulate the reference grid and demand that
-    every RunMetrics JSON matches the stored snapshot bit for bit."""
-    from repro.analysis.golden import DEFAULT_SNAPSHOT, golden_grid, verify_golden
+    """Golden-stats gate: re-simulate the reference grid and the wide
+    digest grid and demand that every RunMetrics JSON matches the stored
+    snapshots bit for bit."""
+    from repro.analysis.golden import (
+        golden_grid,
+        verify_golden,
+        verify_wide,
+        wide_grid,
+    )
 
     try:
-        mismatches = verify_golden()
-    except FileNotFoundError:
+        mismatches = verify_golden() + verify_wide()
+    except FileNotFoundError as exc:
         print(
-            f"golden snapshot missing ({DEFAULT_SNAPSHOT});"
+            f"golden snapshot missing ({exc.filename});"
             " baseline it with: python -m repro.analysis.golden"
         )
         return 1
@@ -298,7 +304,10 @@ def _check_golden() -> int:
             " python -m repro.analysis.golden"
         )
         return 1
-    print(f"golden stats bit-identical ({len(golden_grid())} cells)")
+    print(
+        f"golden stats bit-identical ({len(golden_grid())} cells,"
+        f" {len(wide_grid())} wide digests)"
+    )
     return 0
 
 
@@ -988,7 +997,7 @@ def cmd_profile(args) -> int:
     )
     profiler = cProfile.Profile()
     profiler.enable()
-    result = simulate(params, program, quiesce=not args.no_quiesce)
+    result = simulate(params, program)
     profiler.disable()
     spine = result.spine
     print(
@@ -1195,10 +1204,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_prof.add_argument(
         "--out", default=None,
         help="also dump raw pstats data (e.g. profile.pstats)",
-    )
-    p_prof.add_argument(
-        "--no-quiesce", action="store_true",
-        help="profile the legacy always-step loop instead",
     )
     _add_common(p_prof)
     p_prof.set_defaults(fn=cmd_profile)

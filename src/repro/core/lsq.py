@@ -34,7 +34,6 @@ from repro.common.params import AtomicMode
 from repro.core.dyninstr import DynInstr
 from repro.core.storeset import StoreSetPredictor
 from repro.isa.instructions import InstrClass
-from repro.sanitize.errors import ProtocolInvariantError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.atomic_policy import AtomicPolicyBase
@@ -123,18 +122,6 @@ class LoadStoreUnit:
     # ------------------------------------------------------------------
     # Dispatch-side bookkeeping
     # ------------------------------------------------------------------
-
-    def enqueue(self, dyn: DynInstr) -> None:
-        """Allocate LQ/SB entries for a newly dispatched instruction."""
-        cls = dyn.cls
-        if cls in (InstrClass.LOAD, InstrClass.ATOMIC):
-            self.lq.append(dyn)
-            self.index_lq_entry(dyn)
-        if cls in (InstrClass.STORE, InstrClass.ATOMIC):
-            self.sb.append(dyn)
-            self.index_sb_entry(dyn)
-            if self.storeset is not None:
-                self.storeset.store_dispatched(dyn)
 
     def index_lq_entry(self, dyn: DynInstr) -> None:
         """Mirror an LQ append into the per-line snoop index."""
@@ -275,24 +262,6 @@ class LoadStoreUnit:
     # Loads parked on an in-flight atomic's result (``memdep_waiting``)
     # are released inline by Pipeline.complete(), the only completion
     # funnel — it guards on the table being non-empty before popping.
-
-    # ------------------------------------------------------------------
-    # Commit-side interface
-    # ------------------------------------------------------------------
-
-    def commit_load_head(self, head: DynInstr, now: int) -> None:
-        """Retire a committing load/atomic from the LQ head (alignment is a
-        protocol invariant, not an assumption)."""
-        if not self.lq or self.lq[0] is not head:
-            raise ProtocolInvariantError(
-                "lq-commit-alignment",
-                f"core {self.core.core_id} committing seq {head.seq} but "
-                f"it is not at the load-queue head",
-                line=head.line,
-                cycle=now,
-            )
-        self.lq.popleft()
-        head.in_lq = False
 
     # ------------------------------------------------------------------
     # Store buffer drain

@@ -42,9 +42,9 @@ from typing import TYPE_CHECKING, Callable
 
 from repro.common.params import SystemParams
 from repro.common.stats import AtomicLatencyBreakdown, StatGroup
-from repro.core.atomic_policy import RowPolicy, make_policy
+from repro.core.atomic_policy import make_policy
 from repro.core.consistency import make_model
-from repro.core.dyninstr import AQEntry, DynInstr
+from repro.core.dyninstr import DynInstr
 from repro.core.lsq import LoadStoreUnit
 from repro.core.recovery import RecoveryUnit
 from repro.frontend.branch import make_branch_predictor
@@ -53,9 +53,7 @@ from repro.sanitize.errors import ProtocolInvariantError
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.ports import MemoryImagePort, MemoryPort
-    from repro.core.storeset import StoreSetPredictor
     from repro.obs.tracer import Tracer
-    from repro.row.mechanism import RowMechanism
     from repro.sim.engine import EventEngine
 
 
@@ -122,7 +120,7 @@ class Core:
 
         # Quiescence / sleep-wake state -----------------------------------
         # ``awake`` mirrors membership in the harness's runnable set: the
-        # harness clears it when a step does no work and every wake path
+        # harness clears it when a pump does no work and every wake path
         # funnels through note_activity(), which re-raises it.  A core whose
         # flag is down is guaranteed (and sanitizer-checked) to be woken by
         # any message its controller receives — the no-missed-wake invariant
@@ -164,16 +162,15 @@ class Core:
         # controller raises the wake flag before dispatching.  This is what
         # makes the no-missed-wake invariant hold by construction.
         controller.on_message = self.note_activity
-        # Lazily-cached bound method for the hot step() loop.  Built on
+        # Lazily-cached bound method for the hot pump() loop.  Built on
         # first use, NOT here: the sanitizer wraps ``lsq.drain_sb`` as an
         # instance attribute after construction, and the cache must capture
         # the wrapped version.
         self._drain_sb: "Callable[[int], bool] | None" = None
         # Lazily-cached Counter objects for the pump kernels.  Created at
-        # the same first-increment point the legacy step() path creates
-        # them (stats.counter allocates on first lookup), so counter dict
-        # insertion order — and therefore merged-stat serialization — is
-        # identical across both loops.
+        # first increment, not here: stats.counter allocates on first
+        # lookup, and counter dict insertion order decides merged-stat
+        # serialization (the golden snapshots pin it).
         self._c_committed = None
         self._c_dispatched = None
         self._c_branches_fetched = None
@@ -338,63 +335,22 @@ class Core:
 
     # ------------------------------------------------------------------
     # Main loop
-    # ------------------------------------------------------------------
-
-    def step(self, now: int) -> bool:
-        """Advance one cycle; returns True if the core did any work."""
-        if self.done:
-            return False
-        drain = self._drain_sb
-        if drain is None:
-            drain = self._drain_sb = self.lsq.drain_sb
-        worked = False
-        if self._commit(now):
-            worked = True
-        if drain(now):
-            worked = True
-        if self._issue(now):
-            worked = True
-        if self._dispatch(now):
-            worked = True
-        if self._fetch(now):
-            worked = True
-        if self._event_activity:
-            self._event_activity = False
-            worked = True
-        self._check_done(now)
-        return worked
-
-    def _check_done(self, now: int) -> None:
-        if (
-            not self.done
-            and self.next_fetch >= len(self.trace)
-            and not self.fetch_buffer
-            and not self.rob
-            and not self.lsq.sb
-        ):
-            self.done = True
-            self.finish_cycle = now
-
-    # ------------------------------------------------------------------
-    # Event-pump fast path
     #
-    # pump() is the event-driven twin of step(): same stages, same order,
-    # same mutations — but every stage call is preceded by a pure
-    # can-this-stage-possibly-work guard, and the per-stage loops are
-    # batched kernels with hoisted bindings and table-driven dispatch.
-    # step() is deliberately left as the plain reference implementation:
-    # the legacy quiesce=False loop runs it, and the differential tests
-    # (tests/sim/test_spine.py, the Hypothesis transparency property,
-    # benchmarks/bench_spine.py) pin the two bit-identical.
+    # pump() is the one definition of a core cycle: every stage call is
+    # preceded by a pure can-this-stage-possibly-work guard, and the
+    # per-stage loops are batched kernels with hoisted bindings and
+    # table-driven dispatch.  Both schedulers in sim/multicore.py (the
+    # event pump and the reference loop it is tested against) call it;
+    # the golden snapshots under tests/golden pin what it computes.
     # ------------------------------------------------------------------
 
     def pump(self, now: int) -> bool:
-        """Advance one active cycle through the batched kernels.
+        """Advance one cycle through the batched kernels; returns True if
+        the core did any work.
 
-        Returns True if the core did any work (same contract as
-        :meth:`step`).  Stage guards mirror the early-outs inside each
-        stage exactly, so skipping the call is behaviour-identical to
-        making it.
+        The guards are part of the stage semantics, not just saved calls:
+        ``_fetch_kernel`` leaves the redirect-penalty and blocked-on-branch
+        checks to its guard.
         """
         if self.done:
             return False
@@ -438,7 +394,8 @@ class Core:
         return worked
 
     def _commit_kernel(self, now: int) -> bool:
-        """Batched commit retire loop (the fast twin of :meth:`_commit`)."""
+        """Commit stage: retire up to ``commit_width`` completed
+        instructions from the ROB head, in order."""
         rob = self.rob
         budget = self.params.commit_width
         lsq = self.lsq
@@ -468,7 +425,8 @@ class Core:
             rob_popleft()
             inflight_pop(head.seq, None)
             if cls is load or cls is atomic:
-                # Inlined LoadStoreUnit.commit_load_head (same invariant).
+                # LQ-head alignment is a protocol invariant, not an
+                # assumption.
                 if not lq or lq[0] is not head:
                     raise ProtocolInvariantError(
                         "lq-commit-alignment",
@@ -489,8 +447,18 @@ class Core:
             worked = True
         return worked
 
+    def _memory_barrier_seq(self) -> int | None:
+        """Oldest active fence / fenced-atomic; younger memory ops stall."""
+        barrier = self.recovery.barrier_seq()
+        b = self.policy.barrier_seq()
+        if b is not None:
+            barrier = b if barrier is None else min(barrier, b)
+        return barrier
+
     def _issue_kernel(self, now: int) -> bool:
-        """Table-driven issue select (the fast twin of :meth:`_issue`)."""
+        """Issue stage: discharge fences, let the policy release parked
+        lazy atomics, then table-driven select of up to ``issue_width``
+        ready instructions, oldest first."""
         worked = False
         recovery = self.recovery
         if recovery.fences_active and recovery.check_fences(now):
@@ -552,9 +520,10 @@ class Core:
         return worked
 
     def _dispatch_kernel(self, now: int) -> bool:
-        """Batched dispatch (the fast twin of :meth:`_dispatch` with
-        :meth:`_do_dispatch` inlined; queue lengths tracked incrementally
-        instead of re-measured per instruction)."""
+        """Dispatch stage: move up to ``issue_width`` instructions from
+        the fetch buffer into the ROB/IQ/LQ/SB/AQ, stopping at the first
+        full structure (queue lengths tracked incrementally instead of
+        re-measured per instruction)."""
         fetch_buffer = self.fetch_buffer
         p = self.params
         lsq = self.lsq
@@ -602,7 +571,6 @@ class Core:
             if is_atomic and aq_len >= aq_cap:
                 break
             buf_popleft()
-            # --- inlined _do_dispatch ------------------------------------
             dyn.dispatch_cycle = now
             rob.append(dyn)
             rob_len += 1
@@ -612,6 +580,7 @@ class Core:
             ctr.value += 1
             if tracer is not None:
                 self.emit_instr(dyn, now, "dispatch")
+            # Register dataflow: count unresolved producers.
             n = 0
             for dep_seq in dyn.static.src_deps:
                 producer = inflight.get(dep_seq)
@@ -619,7 +588,7 @@ class Core:
                     producer.consumers.append(dyn)
                     n += 1
             dyn.deps_left = n
-            # Inlined LoadStoreUnit.enqueue (index upkeep included).
+            # LQ/SB allocation (the LSQ owns the index upkeep).
             if cls is load or is_atomic:
                 lq.append(dyn)
                 lq_len += 1
@@ -646,7 +615,8 @@ class Core:
         return worked
 
     def _fetch_kernel(self, now: int) -> bool:
-        """Batched fetch (the fast twin of :meth:`_fetch`)."""
+        """Fetch stage: up to ``fetch_width`` instructions into the
+        fetch buffer, predicting branches; a mispredict blocks fetch."""
         trace = self.trace
         trace_len = len(trace)
         next_fetch = self.next_fetch
@@ -691,245 +661,3 @@ class Core:
         self.next_fetch = next_fetch
         self._uid = uid
         return worked
-
-    # ------------------------------------------------------------------
-    # Fetch
-    # ------------------------------------------------------------------
-
-    def _fetch(self, now: int) -> bool:
-        if (
-            self.next_fetch >= len(self.trace)
-            or now < self.fetch_resume_cycle
-            or self.fetch_blocked_on is not None
-        ):
-            return False
-        worked = False
-        budget = self.params.fetch_width
-        cap = 2 * self.params.fetch_width
-        while budget and len(self.fetch_buffer) < cap and self.next_fetch < len(
-            self.trace
-        ):
-            static = self.trace[self.next_fetch]
-            dyn = DynInstr(static, self._uid, now)
-            self._uid += 1
-            if static.cls is InstrClass.BRANCH:
-                predicted = self.branch_pred.predict(static.pc)
-                dyn.mispredicted = predicted != static.taken
-                self.stats.counter("branches_fetched").add()
-            self.fetch_buffer.append(dyn)
-            self.next_fetch += 1
-            budget -= 1
-            worked = True
-            if dyn.mispredicted:
-                # No wrong-path model: fetch stalls until the branch resolves
-                # and then pays the redirect penalty.
-                self.fetch_blocked_on = dyn
-                self.stats.counter("branch_mispredicts").add()
-                break
-        return worked
-
-    # ------------------------------------------------------------------
-    # Dispatch
-    # ------------------------------------------------------------------
-
-    def _dispatch(self, now: int) -> bool:
-        if not self.fetch_buffer:
-            return False
-        worked = False
-        budget = self.params.issue_width
-        p = self.params
-        lsq = self.lsq
-        while budget and self.fetch_buffer:
-            dyn = self.fetch_buffer[0]
-            cls = dyn.cls
-            if len(self.rob) >= p.rob_entries:
-                break
-            needs_iq = cls is not InstrClass.MFENCE
-            if needs_iq and self.iq_used >= p.iq_entries:
-                break
-            if cls in (InstrClass.LOAD, InstrClass.ATOMIC) and len(lsq.lq) >= p.lq_entries:
-                break
-            if cls in (InstrClass.STORE, InstrClass.ATOMIC) and len(lsq.sb) >= p.sb_entries:
-                break
-            if cls is InstrClass.ATOMIC and len(self.policy.aq) >= p.aq_entries:
-                break
-            self.fetch_buffer.popleft()
-            self._do_dispatch(dyn, now)
-            if needs_iq:
-                self.iq_used += 1
-            budget -= 1
-            worked = True
-        return worked
-
-    def _do_dispatch(self, dyn: DynInstr, now: int) -> None:
-        dyn.dispatch_cycle = now
-        self.rob.append(dyn)
-        self.inflight_by_seq[dyn.seq] = dyn
-        self.stats.counter("dispatched").add()
-        if self.tracer is not None:
-            self.emit_instr(dyn, now, "dispatch")
-
-        # Register dataflow: count unresolved producers.
-        n = 0
-        for dep_seq in dyn.static.src_deps:
-            producer = self.inflight_by_seq.get(dep_seq)
-            if producer is not None and not producer.completed:
-                producer.consumers.append(dyn)
-                n += 1
-        dyn.deps_left = n
-
-        cls = dyn.cls
-        self.lsq.enqueue(dyn)
-        if cls is InstrClass.ATOMIC:
-            self.policy.on_dispatch(dyn)
-        elif cls is InstrClass.MFENCE:
-            self.recovery.on_dispatch_fence(dyn, now)
-
-        if cls is not InstrClass.MFENCE:
-            if n == 0:
-                dyn.ready_cycle = now
-                heapq.heappush(self.ready, (dyn.seq, dyn.uid, dyn))
-
-    # ------------------------------------------------------------------
-    # Issue
-    # ------------------------------------------------------------------
-
-    def _memory_barrier_seq(self) -> int | None:
-        """Oldest active fence / fenced-atomic; younger memory ops stall."""
-        barrier = self.recovery.barrier_seq()
-        b = self.policy.barrier_seq()
-        if b is not None:
-            barrier = b if barrier is None else min(barrier, b)
-        return barrier
-
-    def _issue(self, now: int) -> bool:
-        worked = False
-        recovery = self.recovery
-        if recovery.fences_active and recovery.check_fences(now):
-            worked = True
-        budget = self.params.issue_width
-
-        # Lazy atomics whose turn arrived (pump early-outs on an empty
-        # parking lot; the guard here saves the call entirely).
-        policy = self.policy
-        if policy.lazy_waiting:
-            budget, pumped = policy.pump(now, budget)
-            if pumped:
-                worked = True
-
-        if not self.ready:
-            return worked
-        barrier = self._memory_barrier_seq()
-        while budget and self.ready:
-            _, _, dyn = heapq.heappop(self.ready)
-            if dyn.squashed or dyn.issued:
-                continue
-            if (
-                barrier is not None
-                and dyn.static.is_memory
-                and dyn.seq > barrier
-            ):
-                self.recovery.park_behind_barrier(dyn)
-                continue
-            cls = dyn.cls
-            if cls in (InstrClass.ALU, InstrClass.BRANCH, InstrClass.NOP):
-                self._issue_simple(dyn, now)
-                budget -= 1
-                worked = True
-            elif cls is InstrClass.STORE:
-                self.lsq.issue_store(dyn, now)
-                budget -= 1
-                worked = True
-            elif cls is InstrClass.LOAD:
-                if self.lsq.process_load(dyn, now):
-                    budget -= 1
-                    worked = True
-            else:  # ATOMIC
-                if self.policy.first_issue(dyn, now):
-                    budget -= 1
-                    worked = True
-        return worked
-
-    def _issue_simple(self, dyn: DynInstr, now: int) -> None:
-        self.issue_bookkeeping(dyn, now)
-        self.schedule_complete(dyn, dyn.static.exec_latency)
-
-    # ------------------------------------------------------------------
-    # Commit
-    # ------------------------------------------------------------------
-
-    def _commit(self, now: int) -> bool:
-        rob = self.rob
-        if not rob or not rob[0].completed:
-            return False
-        worked = False
-        budget = self.params.commit_width
-        lsq = self.lsq
-        while budget and self.rob:
-            head = self.rob[0]
-            if not head.completed:
-                break
-            if head.cls is InstrClass.ATOMIC:
-                # The model decides when an atomic may leave the ROB
-                # (both shipped models: its own store_unlock at SB head).
-                if not self.consistency.atomic_commit_ready(head, lsq.sb):
-                    break
-            head.committed = True
-            head.commit_cycle = now
-            self.rob.popleft()
-            self.inflight_by_seq.pop(head.seq, None)
-            if head.cls in (InstrClass.LOAD, InstrClass.ATOMIC):
-                lsq.commit_load_head(head, now)
-                self.load_values[head.seq] = head.value
-            self.stats.counter("committed").add()
-            if self.tracer is not None:
-                self.emit_instr(head, now, "commit")
-            budget -= 1
-            worked = True
-        return worked
-
-    # ------------------------------------------------------------------
-    # Compatibility views (pre-split attribute names; tests and tools
-    # reach pipeline structures through these)
-    # ------------------------------------------------------------------
-
-    @property
-    def controller(self) -> "MemoryPort":
-        return self.port
-
-    @property
-    def lq(self) -> deque[DynInstr]:
-        return self.lsq.lq
-
-    @property
-    def sb(self) -> deque[DynInstr]:
-        return self.lsq.sb
-
-    @property
-    def aq(self) -> deque[AQEntry]:
-        return self.policy.aq
-
-    @property
-    def locked_lines(self) -> dict[int, int]:
-        return self.lsq.locked_lines
-
-    @property
-    def lazy_waiting(self) -> list[DynInstr]:
-        return self.policy.lazy_waiting
-
-    @property
-    def fences_active(self) -> list[DynInstr]:
-        return self.recovery.fences_active
-
-    @property
-    def fence_waiting(self) -> list[DynInstr]:
-        return self.recovery.fence_waiting
-
-    @property
-    def storeset(self) -> "StoreSetPredictor | None":
-        return self.lsq.storeset
-
-    @property
-    def row_mech(self) -> "RowMechanism | None":
-        policy = self.policy
-        return policy.row_mech if isinstance(policy, RowPolicy) else None

@@ -5,8 +5,7 @@ Zero-cost-when-disabled contract
 Simulator components hold ``tracer: Tracer | None`` and guard every
 emission with ``if tracer is not None``: with tracing off the hot paths pay
 one attribute load and one branch per hook point, nothing else (measured
-<2% wall-clock, see ``benchmarks/bench_obs_overhead.py`` and
-``docs/observability.md``).  :class:`NullTracer` exists for callers that
+<2% wall-clock, see ``docs/observability.md``).  :class:`NullTracer` exists for callers that
 want an always-valid object instead of ``None`` — it swallows every event.
 
 Timing transparency

@@ -158,7 +158,7 @@ def _check_quiescence_purity(analysis: EffectAnalysis) -> list[LintFinding]:
     if not roots:
         return [LintFinding(
             "", 1, "effect-root-missing",
-            f"no quiescence query ({', '.join(QUIESCENCE_QUERIES)}) found "
+            f"quiescence queries ({', '.join(QUIESCENCE_QUERIES)}) not found "
             f"anywhere in the universe — the quiescence-purity rule has "
             f"nothing to anchor to",
         )]

@@ -229,7 +229,7 @@ class SanitizerHarness:
             orig_drain = core.lsq.drain_sb
 
             def drain_sb(now: int, _orig=orig_drain, _core=core) -> bool:
-                if len(_core.sb) > 1:
+                if len(_core.lsq.sb) > 1:
                     self.check_sb_fifo(_core)
                 return _orig(now)
 
@@ -401,7 +401,7 @@ class SanitizerHarness:
         """The store buffer must hold entries in program (seq) order."""
         self._count("sb-fifo")
         prev = None
-        for entry in core.sb:
+        for entry in core.lsq.sb:
             if prev is not None and entry.seq <= prev.seq:
                 self._violation(
                     "sb-fifo",

@@ -18,6 +18,10 @@ dependency-free.  The protocol is deliberately tiny:
                             terminal done/failed event
 ==========================  =================================================
 
+Hostile framing is refused before routing: an over-long or malformed
+request/header line or a negative or non-numeric ``Content-Length`` gets
+a 400, a body over :data:`MAX_BODY_BYTES` a 413.
+
 The single-writer discipline lives in :class:`~repro.service.fabric
 .ShardPool` (its dispatcher thread); handlers only read pool state or
 enqueue submissions, so the event loop never blocks on a simulation.
@@ -47,6 +51,10 @@ _REASONS = {
 }
 
 
+class _RequestError(Exception):
+    """``(status, message)``: a request refused before it is routed."""
+
+
 class CampaignService:
     """Routes HTTP requests onto one :class:`ShardPool`."""
 
@@ -63,6 +71,8 @@ class CampaignService:
             if request is not None:
                 method, target, body = request
                 await self._route(writer, method, target, body)
+        except _RequestError as exc:
+            self._error(writer, *exc.args)
         except (ConnectionError, asyncio.IncompleteReadError):
             pass
         finally:
@@ -72,27 +82,41 @@ class CampaignService:
             except (ConnectionError, OSError):
                 pass
 
+    @staticmethod
+    async def _read_line(reader: asyncio.StreamReader) -> bytes:
+        try:
+            return await reader.readline()
+        except ValueError:
+            # StreamReader's line limit (64 KiB) was overrun.
+            raise _RequestError(400, "request or header line too long") from None
+
     async def _read_request(self, reader: asyncio.StreamReader):
-        line = await reader.readline()
+        """``(method, target, body)``, or None when the client sent
+        nothing; hostile framing raises :class:`_RequestError`."""
+        line = await self._read_line(reader)
         if not line:
             return None
         parts = line.decode("latin-1").split()
         if len(parts) != 3:
-            return None
+            raise _RequestError(400, "malformed request line")
         method, target, _version = parts
         length = 0
         while True:
-            header = await reader.readline()
+            header = await self._read_line(reader)
             if header in (b"\r\n", b"\n", b""):
                 break
-            name, _, value = header.decode("latin-1").partition(":")
+            name, colon, value = header.decode("latin-1").partition(":")
+            if not colon:
+                raise _RequestError(400, "malformed header line")
             if name.strip().lower() == "content-length":
-                try:
-                    length = int(value.strip())
-                except ValueError:
-                    length = 0
+                digits = value.strip()
+                # Refuses signs and non-numbers alike (readexactly(-5)
+                # would raise, a silent 0 would misframe the body).
+                if not (digits.isascii() and digits.isdigit()):
+                    raise _RequestError(400, "invalid Content-Length")
+                length = int(digits)
         if length > MAX_BODY_BYTES:
-            return method, target, None  # routed to a 413 below
+            raise _RequestError(413, "campaign spec too large")
         body = await reader.readexactly(length) if length else b""
         return method, target, body
 
@@ -127,9 +151,6 @@ class CampaignService:
         url = urllib.parse.urlsplit(target)
         path = url.path.rstrip("/") or "/"
         query = urllib.parse.parse_qs(url.query)
-        if body is None:
-            self._error(writer, 413, "campaign spec too large")
-            return
         if path in ("/", "/healthz"):
             if method != "GET":
                 self._error(writer, 405, "use GET")

@@ -6,8 +6,8 @@ global heap.  The multicore harness is a pure event pump over this heap:
 it pumps only runnable cores and jumps the clock straight to the next
 event or live core wake whenever nothing is runnable — clamped to the
 caller's cycle budget — which is what makes a pure-Python timing model
-usable at the paper's experiment scale.  The legacy cycle-stepping loop
-survives behind ``quiesce=False`` as the differential baseline.
+usable at the paper's experiment scale.  An every-core-every-cycle
+reference scheduler sits behind ``quiesce=False`` for differential tests.
 """
 
 from __future__ import annotations

@@ -100,13 +100,13 @@ class MulticoreSimulator:
     a traced run produces the same :class:`RunResult` statistics as an
     untraced one.
 
-    ``quiesce`` (default True) enables the quiescence-aware scheduler:
-    only awake cores are stepped, and the idle fast-forward is bounded by
-    ``min(next event, earliest scheduled core wake)``.  Timing-transparent
-    by construction — identical cycle counts and statistics either way
-    (docs/performance.md walks the argument); ``False`` falls back to the
-    step-every-core-every-cycle legacy loop, kept as the differential
-    baseline for tests and benchmarks.
+    ``quiesce`` (default True) selects the scheduler, never the pipeline:
+    both drive :meth:`Core.pump`.  The default event pump pumps only awake
+    cores and bounds the idle fast-forward by ``min(next event, earliest
+    scheduled core wake)``; it is timing-transparent by construction
+    (docs/performance.md walks the argument).  ``False`` is the reference
+    scheduler — every core, every cycle, no sleep/wake state — that the
+    differential tests hold the event pump bit-identical to.
     """
 
     def __init__(
@@ -167,7 +167,7 @@ class MulticoreSimulator:
         # sleep->wake transitions, lazily discarded stale wake entries and
         # do-nothing pump iterations.  Plain ints on the hot path; exported
         # as the ``RunResult.spine`` dict (and consumed by the perf smoke
-        # gate in ``repro check`` and by ``benchmarks/bench_spine.py``).
+        # gate in ``repro check`` and by ``benchmarks/perf``).
         self._iterations = 0
         self._step_calls = 0
         self._wake_count = 0
@@ -328,7 +328,7 @@ class MulticoreSimulator:
         finished cores or wakes an earlier firing already consumed), then
         pumps exactly the cores whose wake flag is up — in core-id order,
         via the runnable queue the wake sink feeds — through
-        :meth:`Core.pump`, the batched-kernel twin of ``step``.  A core
+        :meth:`Core.pump`.  A core
         whose pump does no work leaves the runnable queue until
         ``note_activity`` re-raises its ``awake`` flag (message delivery,
         completion callbacks) or a scheduled timed wake comes due; cross-
@@ -337,7 +337,7 @@ class MulticoreSimulator:
         bounded by the (stale-pruned) wake heap and clamped to the cycle
         budget, so the pump never visits a cycle it has nothing to do in
         and never overshoots ``max_cycles`` by more than one bound check.
-        Timing-transparent vs. the always-step loop: see
+        Timing-transparent vs. :meth:`_run_always_step`: see
         docs/performance.md for the invariant.
         """
         engine = self.engine
@@ -446,11 +446,12 @@ class MulticoreSimulator:
             self._empty_iterations += empty_iterations
 
     def _run_always_step(self, max_cycles: int) -> None:
-        """Legacy loop: every core steps every cycle.
+        """Reference scheduler: every core pumps every cycle.
 
-        Kept as the differential baseline: tests and ``bench_spine.py``
-        compare its statistics and wall-clock against the quiescence-aware
-        loop.
+        No runnable queue, no wake heap: it skips time only by the
+        engine's idle jump when no core did any work.  It shares
+        :meth:`Core.pump` with the event pump, so what the differential
+        tests check against it is exactly the sleep/wake scheduling.
         """
         engine = self.engine
         cores = self.cores
@@ -464,7 +465,7 @@ class MulticoreSimulator:
                 any_work = False
                 all_done = True
                 for core in cores:
-                    if core.step(now):
+                    if core.pump(now):
                         any_work = True
                     if not core.done:
                         all_done = False
@@ -486,8 +487,8 @@ class MulticoreSimulator:
                         f"cores done: {[c.done for c in cores]}"
                     ) from exc
         finally:
-            # Flush on every exit path so spine_snapshot() stays accurate
-            # after a budget abort (which used to lose the counters).
+            # A budget abort must not lose the counters spine_snapshot()
+            # reports.
             self._iterations += iterations
             self._step_calls += iterations * len(cores)
 

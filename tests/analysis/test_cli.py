@@ -296,7 +296,7 @@ class TestProfileCommand:
         assert args.mode == "eager"
         assert args.top == 25
         assert args.out is None
-        assert not args.no_quiesce
+        assert not hasattr(args, "no_quiesce")
 
     def test_rejects_unknown_workload(self):
         with pytest.raises(SystemExit):

@@ -4,6 +4,7 @@ import pytest
 
 from repro.core.dyninstr import AQEntry, DynInstr
 from repro.isa.instructions import InstrClass, alu, atomic, load
+from repro.memory.messages import Message, MsgKind
 
 
 class TestDynInstr:
@@ -28,9 +29,14 @@ class TestDynInstr:
         assert dyn.dispatch_cycle == -1
 
     def test_slots_prevent_arbitrary_attributes(self):
+        """The three highest-volume allocations stay ``__slots__`` records:
+        one per fetched instruction, per dynamic atomic, per message."""
         dyn = DynInstr(alu(0, 0), uid=0, fetch_cycle=0)
-        with pytest.raises(AttributeError):
-            dyn.bogus = 1  # type: ignore[attr-defined]
+        message = Message(kind=MsgKind.GETS, line=0x40, src=0, dst=1)
+        for record in (dyn, AQEntry(dyn=dyn), message):
+            assert not hasattr(record, "__dict__"), type(record).__name__
+            with pytest.raises(AttributeError):
+                record.bogus = 1  # type: ignore[attr-defined]
 
     def test_atomic_defaults(self):
         dyn = DynInstr(atomic(0, 0, 64), uid=0, fetch_cycle=0)

@@ -82,7 +82,8 @@ class TestFindStoreMatch:
         for st, resolved in stores:
             dyn = DynInstr(st, uid=uid, fetch_cycle=0)
             dyn.addr_computed = resolved
-            lsq.enqueue(dyn)
+            lsq.sb.append(dyn)
+            lsq.index_sb_entry(dyn)
             uid += 1
         return lsq
 

@@ -15,10 +15,13 @@ import pytest
 
 from repro.analysis.golden import (
     DEFAULT_SNAPSHOT,
+    WIDE_SNAPSHOT,
     golden_grid,
     golden_params,
     load_snapshot,
     verify_golden,
+    verify_wide,
+    wide_grid,
 )
 from repro.analysis.runner import RunMetrics
 from repro.sim.multicore import simulate
@@ -41,6 +44,16 @@ def test_snapshot_exists_and_covers_grid():
 @pytest.mark.parametrize("label,mode,workload", golden_grid())
 def test_runmetrics_bit_identical(label, mode, workload):
     mismatches = verify_golden(labels=[label])
+    assert not mismatches, "\n".join(mismatches)
+
+
+def test_wide_digests_bit_identical():
+    """Every workload profile × {eager, lazy, row} × {tso, relaxed}
+    reproduces the digest recorded through the plain per-stage pipeline
+    before it was deleted (``tests/golden/wide_digests.json``)."""
+    labels = {label for label, _, _, _ in wide_grid()}
+    assert labels == set(load_snapshot(WIDE_SNAPSHOT))
+    mismatches = verify_wide()
     assert not mismatches, "\n".join(mismatches)
 
 

@@ -18,13 +18,13 @@ def assert_clean_finish(sim: MulticoreSimulator) -> None:
     for core in sim.cores:
         assert core.done
         assert not core.rob
-        assert not core.sb
-        assert not core.aq
-        assert not core.lq
-        assert not core.lazy_waiting
-        assert not core.fence_waiting
-        assert not core.fences_active
-        assert not core.locked_lines
+        assert not core.lsq.sb
+        assert not core.policy.aq
+        assert not core.lsq.lq
+        assert not core.policy.lazy_waiting
+        assert not core.recovery.fence_waiting
+        assert not core.recovery.fences_active
+        assert not core.lsq.locked_lines
         assert core.iq_used == 0
     for controller in sim.controllers:
         assert not controller.stalled_externals or all(

@@ -175,7 +175,9 @@ class TestStoreBufferFifo:
         harness = attach(system)
         core = SimpleNamespace(
             core_id=0,
-            sb=[SimpleNamespace(seq=2), SimpleNamespace(seq=1)],
+            lsq=SimpleNamespace(
+                sb=[SimpleNamespace(seq=2), SimpleNamespace(seq=1)]
+            ),
         )
         with pytest.raises(ProtocolInvariantError) as excinfo:
             harness.check_sb_fifo(core)
@@ -185,7 +187,9 @@ class TestStoreBufferFifo:
         harness = attach(system)
         core = SimpleNamespace(
             core_id=0,
-            sb=[SimpleNamespace(seq=1), SimpleNamespace(seq=5)],
+            lsq=SimpleNamespace(
+                sb=[SimpleNamespace(seq=1), SimpleNamespace(seq=5)]
+            ),
         )
         harness.check_sb_fifo(core)
 

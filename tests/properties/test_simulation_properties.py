@@ -53,16 +53,30 @@ class TestCompletionProperty:
 class TestQuiescenceTransparencyProperty:
     @given(
         seed=st.integers(0, 100),
-        workload=st.sampled_from(["pc", "barnes", "sps"]),
-        mode=st.sampled_from([AtomicMode.EAGER, AtomicMode.LAZY, AtomicMode.ROW]),
+        workload=st.sampled_from(["pc", "barnes", "sps", "atomic_counter"]),
+        mode=st.sampled_from(
+            [AtomicMode.EAGER, AtomicMode.LAZY, AtomicMode.ROW,
+             AtomicMode.FENCED, AtomicMode.FAR]
+        ),
+        threads=st.integers(2, 4),
+        consistency=st.sampled_from(["tso", "relaxed"]),
     )
     @settings(max_examples=10, deadline=None)
-    def test_quiesce_on_off_identical_metrics(self, seed, workload, mode):
-        """The quiescence-aware scheduler is timing-transparent: for any
-        workload shape, seed and policy, its RunMetrics JSON is bit-identical
-        to the step-every-core-every-cycle loop's."""
-        prog = build_program(workload, 2, 500, seed=seed)
-        params = SystemParams.quick(atomic_mode=mode)
+    def test_quiesce_on_off_identical_metrics(
+        self, seed, workload, mode, threads, consistency
+    ):
+        """The event pump's sleep/wake scheduling is timing-transparent:
+        for any workload shape (profiles and the one-hot-line counter),
+        seed, thread count, policy and consistency model, its RunMetrics
+        JSON is bit-identical to the every-core-every-cycle reference
+        scheduler's."""
+        if workload == "atomic_counter":
+            prog = atomic_counter(threads, 40)
+        else:
+            prog = build_program(workload, threads, 500, seed=seed)
+        params = SystemParams.quick(
+            atomic_mode=mode
+        ).with_consistency_model(consistency)
         quiesced = simulate(params, prog)
         legacy = simulate(params, prog, quiesce=False)
         assert RunMetrics.from_result(quiesced).to_json() == (

@@ -1,5 +1,9 @@
 """End-to-end HTTP tests: ServiceThread + ServiceClient over a real socket."""
 
+import json
+import socket
+import urllib.parse
+
 import pytest
 
 from repro.analysis.parallel import Runner
@@ -136,3 +140,36 @@ class TestErrors:
         with pytest.raises(ServiceError) as excinfo:
             client._json("GET", "/nope")
         assert excinfo.value.status == 404
+
+    @pytest.mark.parametrize(
+        "request_bytes,status",
+        [
+            (b"POST /campaigns HTTP/1.1\r\nContent-Length: -5\r\n\r\n", 400),
+            (b"POST /campaigns HTTP/1.1\r\nContent-Length: five\r\n\r\n", 400),
+            # One header line just past StreamReader's 64 KiB line limit.
+            (b"GET /healthz HTTP/1.1\r\nX-Pad: " + b"a" * (1 << 16) + b"\r\n\r\n",
+             400),
+            (b"GET /healthz HTTP/1.1\r\nno colon here\r\n\r\n", 400),
+            (b"GET /healthz\r\n\r\n", 400),
+            (b"POST /campaigns HTTP/1.1\r\nContent-Length: 99999999\r\n\r\n", 413),
+        ],
+        ids=["negative-length", "non-integer-length", "over-long-header",
+             "malformed-header", "malformed-request-line", "oversize-body"],
+    )
+    def test_hostile_framing_is_4xx_and_service_survives(
+        self, service, request_bytes, status
+    ):
+        """Framing the parser cannot honour gets a typed JSON error (it
+        used to escape ``handle`` and leave the client an empty reply),
+        and the same server keeps answering."""
+        _, _, client = service
+        url = urllib.parse.urlsplit(client.base_url)
+        with socket.create_connection((url.hostname, url.port), timeout=10) as sock:
+            sock.sendall(request_bytes)
+            reply = b""
+            while chunk := sock.recv(65536):
+                reply += chunk
+        assert reply.startswith(b"HTTP/1.1 %d " % status), reply[:200]
+        assert json.loads(reply.partition(b"\r\n\r\n")[2])["error"]
+        assert client.health()["ok"] is True
+
