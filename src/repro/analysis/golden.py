@@ -36,11 +36,9 @@ import hashlib
 import json
 import pathlib
 
-from repro.analysis.runner import RunMetrics
+from repro.analysis.parallel import RunSpec, execute_spec
 from repro.common.params import AtomicMode, SystemParams
-from repro.sim.multicore import simulate
-from repro.workloads.profiles import WORKLOADS
-from repro.workloads.synthetic import build_program
+from repro.workloads.profiles import WORKLOADS, get_profile
 
 #: Workloads in the reference grid: one contended atomic-intensive profile
 #: (pc), one locality-heavy profile exercising the forwarding/promotion
@@ -110,11 +108,14 @@ def wide_grid() -> list[tuple[str, AtomicMode, str, str]]:
 
 
 def _run_cell(mode: AtomicMode, workload: str) -> str:
-    program = build_program(
-        workload, GOLDEN_THREADS, GOLDEN_INSTRUCTIONS, seed=GOLDEN_SEED
+    spec = RunSpec(
+        get_profile(workload),
+        golden_params(mode),
+        GOLDEN_THREADS,
+        GOLDEN_INSTRUCTIONS,
+        GOLDEN_SEED,
     )
-    result = simulate(golden_params(mode), program)
-    return RunMetrics.from_result(result).to_json()
+    return execute_spec(spec).to_json()
 
 
 def compute_golden() -> dict[str, str]:
@@ -124,11 +125,14 @@ def compute_golden() -> dict[str, str]:
 
 
 def _wide_digest(mode: AtomicMode, workload: str, model: str) -> str:
-    program = build_program(
-        workload, WIDE_THREADS, WIDE_INSTRUCTIONS, seed=WIDE_SEED
+    spec = RunSpec(
+        get_profile(workload),
+        golden_params(mode).with_consistency_model(model),
+        WIDE_THREADS,
+        WIDE_INSTRUCTIONS,
+        WIDE_SEED,
     )
-    params = golden_params(mode).with_consistency_model(model)
-    text = RunMetrics.from_result(simulate(params, program)).to_json()
+    text = execute_spec(spec).to_json()
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import dataclasses
 import enum
+import gc
 import hashlib
 import json
 import multiprocessing
@@ -39,7 +40,7 @@ from repro.common.schema import CACHE_SCHEMA_VERSION
 from repro.common.stats import geomean
 from repro.sim.multicore import simulate
 from repro.workloads.profiles import WorkloadProfile, get_profile
-from repro.workloads.synthetic import build_program
+from repro.workloads.synthetic import build_program, program_memo_stats
 
 __all__ = [
     "CACHE_SCHEMA_VERSION",  # re-exported from repro.common.schema
@@ -136,6 +137,17 @@ class RunSpec:
             for spec in cls.for_seeds(workload, params, scale)
         ]
 
+    @property
+    def program_key(self) -> tuple[WorkloadProfile, int, int, int]:
+        """The arguments of :func:`build_program`: cells with equal keys
+        run the same program (the result-cache key never sees this)."""
+        return (
+            self.workload,
+            self.num_threads,
+            self.instructions_per_thread,
+            self.seed,
+        )
+
     def canonical_dict(self) -> dict:
         return {
             "engine": _ENGINE_VERSION,
@@ -149,14 +161,36 @@ class RunSpec:
 
 
 def execute_spec(spec: RunSpec) -> RunMetrics:
-    """Run one job in the current process (also the pool worker)."""
-    program = build_program(
-        spec.workload,
-        spec.num_threads,
-        spec.instructions_per_thread,
-        seed=spec.seed,
-    )
-    return RunMetrics.from_result(simulate(spec.params, program))
+    """Run one job in the current process (also the pool worker).
+
+    One cell is one GC epoch.  A finished ``MulticoreSimulator`` is cyclic
+    garbage, and once :func:`build_program` reuses its streams a cell
+    allocates too little else to trigger the collector: dead simulators
+    stacked up at a few MB a cell until a full pass happened by.  So
+    automatic collection is paused for the cell (nothing in it dies
+    before the end anyway) and the youngest generation — by then exactly
+    this cell's objects, not the retained programs — is collected on the
+    way out.  A caller that runs with collection disabled keeps it
+    disabled, and nothing is collected behind its back.
+    """
+    gc_was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return RunMetrics.from_result(
+            simulate(spec.params, build_program(*spec.program_key))
+        )
+    finally:
+        if gc_was_enabled:
+            gc.enable()
+            gc.collect(0)
+
+
+def _counted(worker, spec: RunSpec) -> tuple[RunMetrics, int]:
+    """``worker(spec)`` and how many programs the process generated for
+    it, so that pool workers' generations are counted too."""
+    before = program_memo_stats().generated
+    metrics = worker(spec)
+    return metrics, program_memo_stats().generated - before
 
 
 # ---------------------------------------------------------------------------
@@ -173,6 +207,7 @@ class RunnerStats:
     simulated: int = 0
     retries: int = 0
     corrupt_discarded: int = 0
+    programs_generated: int = 0
 
     def reset(self) -> None:
         for f in dataclasses.fields(self):
@@ -311,7 +346,9 @@ class Runner:
     def _execute_with_retry(self, spec: RunSpec) -> RunMetrics:
         for attempt in range(self.retries + 1):
             try:
-                return self._worker(spec)
+                metrics, generated = _counted(self._worker, spec)
+                self.stats.programs_generated += generated
+                return metrics
             except Exception as exc:
                 if attempt == self.retries:
                     raise RunnerError(
@@ -327,10 +364,16 @@ class Runner:
 
         ``source`` is ``"memo"``, ``"disk"`` or ``"sim"``.  All cache hits
         are yielded first (the dedup/resume scan), then misses stream in as
-        the pool finishes them.  Closing the generator mid-stream (e.g. a
-        service shutting down) abandons the not-yet-finished jobs; every
-        yielded result is already admitted to the memo and disk cache, so a
-        later identical stream resumes as hits.
+        the pool finishes them.  Misses are dispatched grouped by program
+        (:attr:`RunSpec.program_key`) — groups in order of first
+        appearance, cells in input order within a group, never sorted — so
+        the cells of a multi-seed grid that share a program run back to
+        back while :func:`build_program` still holds it; a single-seed
+        grid keeps exactly its input order.  Closing the generator
+        mid-stream (e.g. a service shutting down) abandons the
+        not-yet-finished jobs; every yielded result is already admitted to
+        the memo and disk cache, so a later identical stream resumes as
+        hits.
         """
         misses: list[RunSpec] = []
         seen: set[RunSpec] = set()
@@ -352,6 +395,10 @@ class Runner:
                 misses.append(spec)
         if not misses:
             return
+        by_program: dict[tuple, list[RunSpec]] = {}
+        for spec in misses:
+            by_program.setdefault(spec.program_key, []).append(spec)
+        misses = [spec for group in by_program.values() for spec in group]
         if self.jobs == 1 or len(misses) == 1:
             for spec in misses:
                 metrics = self._execute_with_retry(spec)
@@ -415,13 +462,13 @@ class Runner:
             retry_round: list[RunSpec] = []
             try:
                 futures = {
-                    executor.submit(self._worker, spec): spec
+                    executor.submit(_counted, self._worker, spec): spec
                     for spec in remaining
                 }
                 for future in as_completed(futures):
                     spec = futures[future]
                     try:
-                        metrics = future.result()
+                        metrics, generated = future.result()
                     except Exception as exc:
                         attempts[spec] = attempts.get(spec, 0) + 1
                         if attempts[spec] > self.retries:
@@ -433,6 +480,7 @@ class Runner:
                         self.stats.retries += 1
                         retry_round.append(spec)
                         continue
+                    self.stats.programs_generated += generated
                     yield spec, metrics
             finally:
                 executor.shutdown(wait=False, cancel_futures=True)
@@ -471,7 +519,7 @@ class Runner:
             f"{s.simulated} simulated, {s.memo_hits + s.disk_hits} cache"
             f" hit(s) ({s.disk_hits} from disk), {s.retries} retr(y/ies),"
             f" {s.corrupt_discarded} corrupt entr(y/ies) discarded"
-            f" [cache: {where}]"
+            f" [cache: {where}], programs generated {s.programs_generated}"
         )
 
 

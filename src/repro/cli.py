@@ -279,16 +279,25 @@ def cmd_effects(args) -> int:
 def _check_golden() -> int:
     """Golden-stats gate: re-simulate the reference grid and the wide
     digest grid and demand that every RunMetrics JSON matches the stored
-    snapshots bit for bit."""
+    snapshots bit for bit — and that each grid generated no more programs
+    than it has workloads, a count (never a time) that fails when cells
+    stop sharing the programs ``build_program`` memoizes."""
     from repro.analysis.golden import (
+        GOLDEN_WORKLOADS,
         golden_grid,
         verify_golden,
         verify_wide,
         wide_grid,
     )
+    from repro.workloads.profiles import WORKLOADS
+    from repro.workloads.synthetic import program_memo_stats
 
     try:
-        mismatches = verify_golden() + verify_wide()
+        start = program_memo_stats().generated
+        mismatches = verify_golden()
+        golden_programs = program_memo_stats().generated - start
+        mismatches += verify_wide()
+        wide_programs = program_memo_stats().generated - start - golden_programs
     except FileNotFoundError as exc:
         print(
             f"golden snapshot missing ({exc.filename});"
@@ -308,6 +317,17 @@ def _check_golden() -> int:
         f"golden stats bit-identical ({len(golden_grid())} cells,"
         f" {len(wide_grid())} wide digests)"
     )
+    print(
+        f"programs generated: {golden_programs} for the golden cells"
+        f" (at most {len(GOLDEN_WORKLOADS)}), {wide_programs} for the wide"
+        f" digests (at most {len(WORKLOADS)})"
+    )
+    if golden_programs > len(GOLDEN_WORKLOADS) or wide_programs > len(WORKLOADS):
+        print(
+            "golden gate failed: cells that share a program regenerated it;"
+            " build_program's memo is being bypassed"
+        )
+        return 1
     return 0
 
 

@@ -22,7 +22,7 @@ Grammar (YAML or JSON; YAML requires the optional ``pyyaml``)::
     grids:                     # explicit multi-grid form
       - workloads: [...]
         configs: [...]
-        seeds: [0, 1]          # optional; default: the scale's seeds
+        seeds: [0, 1]          # optional, non-empty; default: the scale's
         num_threads: 8         # optional; default: the scale's
         instructions_per_thread: 4000
     output: {kind: figure, id: fig1}
@@ -428,10 +428,12 @@ def _parse_grid(payload, where: str) -> GridSpec:
         raise CampaignError(f"{where}: configs must be a non-empty list")
     seeds = payload.get("seeds")
     if seeds is not None:
-        if not isinstance(seeds, list) or not all(
+        if not isinstance(seeds, list) or not seeds or not all(
             isinstance(s, int) and not isinstance(s, bool) for s in seeds
         ):
-            raise CampaignError(f"{where}: seeds must be a list of integers")
+            raise CampaignError(
+                f"{where}: seeds must be a non-empty list of integers"
+            )
         seeds = tuple(seeds)
     for key in ("num_threads", "instructions_per_thread"):
         value = payload.get(key)

@@ -15,7 +15,12 @@ from repro.workloads.profiles import (
     WorkloadProfile,
     get_profile,
 )
-from repro.workloads.synthetic import TraceGenerator, build_program
+from repro.workloads.synthetic import (
+    TraceGenerator,
+    build_program,
+    clear_program_memo,
+    program_memo_stats,
+)
 
 __all__ = [
     "ATOMIC_INTENSIVE",
@@ -31,6 +36,8 @@ __all__ = [
     "build_microbench",
     "shared_line_overlap",
     "build_program",
+    "clear_program_memo",
     "cycles_per_iteration",
     "get_profile",
+    "program_memo_stats",
 ]

@@ -13,9 +13,19 @@ Address map (byte addresses; 64-byte lines):
   line (a shared counter), which is what creates real coherence contention.
 * shared reads   — a read-mostly region all threads stream through.
 * private        — a per-thread working set that drives the miss rate.
+
+:func:`build_program` generates each program once per process: the paper
+holds a program fixed and varies only the atomic policy, so a campaign
+asks for the same ``(profile, threads, length, seed)`` once per
+configuration.  What is kept is only the frozen :class:`Instruction`
+objects; every caller gets its own mutable ``Program`` around them.
 """
 
 from __future__ import annotations
+
+import threading
+from collections import OrderedDict
+from typing import NamedTuple
 
 import numpy as np
 
@@ -328,6 +338,106 @@ class TraceGenerator:
 # Program assembly
 # ---------------------------------------------------------------------------
 
+#: Static instructions the program memo may hold: about 32 MB at the
+#: measured 245 bytes per instruction.  A constant, not an option: every
+#: committed campaign below ``full`` scale fits a workload's programs in
+#: it, and a program larger than it is still kept, alone.
+PROGRAM_MEMO_INSTRUCTIONS = 131_072
+
+Streams = tuple[tuple[Instruction, ...], ...]
+
+
+class ProgramMemoStats(NamedTuple):
+    """Counters of the program memo since the process started."""
+
+    hits: int
+    generated: int
+    instructions: int  # static instructions held right now
+
+
+class _ProgramMemo:
+    """Generated instruction streams by program key, least recently used
+    first.  Only immutable values are stored (tuples of frozen
+    ``Instruction``), so nothing a caller does to a built program can
+    reach another caller's."""
+
+    def __init__(self) -> None:
+        self._lock = threading.Lock()
+        self._streams: OrderedDict[tuple, Streams] = OrderedDict()
+        self._held = 0
+        self._hits = 0
+        self._generated = 0
+
+    def streams(
+        self,
+        profile: WorkloadProfile,
+        num_threads: int,
+        instructions_per_thread: int,
+        seed: int,
+    ) -> Streams:
+        key = (profile, num_threads, instructions_per_thread, seed)
+        size = num_threads * instructions_per_thread
+        with self._lock:
+            streams = self._streams.get(key)
+            if streams is not None:
+                self._streams.move_to_end(key)
+                self._hits += 1
+                return streams
+            # Room is made before generating, so the peak is never more
+            # than max(bound, this one program).
+            self._evict(PROGRAM_MEMO_INSTRUCTIONS - size, keep=0)
+        # Outside the lock: two threads missing on one key both generate
+        # (the same streams, the generator being pure) and the first to
+        # finish is kept.
+        traces = [
+            TraceGenerator(profile, tid, num_threads, seed).generate(
+                instructions_per_thread
+            )
+            for tid in range(num_threads)
+        ]
+        for trace in traces:
+            trace.validate()
+        streams = tuple(tuple(trace.instructions) for trace in traces)
+        with self._lock:
+            self._generated += 1
+            kept = self._streams.setdefault(key, streams)
+            if kept is streams:
+                self._held += size
+            self._streams.move_to_end(key)
+            # Concurrent misses each made room for themselves only.
+            self._evict(PROGRAM_MEMO_INSTRUCTIONS, keep=1)
+            return kept
+
+    def _evict(self, limit: int, keep: int) -> None:
+        while self._held > limit and len(self._streams) > keep:
+            _, evicted = self._streams.popitem(last=False)
+            self._held -= sum(map(len, evicted))
+
+    def clear(self) -> None:
+        with self._lock:
+            self._streams.clear()
+            self._held = 0
+
+    def stats(self) -> ProgramMemoStats:
+        with self._lock:
+            return ProgramMemoStats(self._hits, self._generated, self._held)
+
+
+_PROGRAM_MEMO = _ProgramMemo()
+
+
+def program_memo_stats() -> ProgramMemoStats:
+    """How often :func:`build_program` reused streams, how often it had
+    to generate, and how many instructions it holds.  The counters only
+    grow; gates compare two readings."""
+    return _PROGRAM_MEMO.stats()
+
+
+def clear_program_memo() -> None:
+    """Forget every generated stream (the counters stay).  Programs
+    already handed out keep working: they hold their own references."""
+    _PROGRAM_MEMO.clear()
+
 
 def build_program(
     workload: str | WorkloadProfile,
@@ -335,17 +445,27 @@ def build_program(
     instructions_per_thread: int,
     seed: int = 0,
 ) -> Program:
-    """Generate a multithreaded :class:`Program` for a workload profile."""
+    """Generate a multithreaded :class:`Program` for a workload profile.
+
+    The result is the caller's own: a fresh ``Program`` with fresh
+    ``ThreadTrace`` lists, ``metadata`` and ``initial_memory``, free to
+    mutate.  The ``Instruction`` objects inside are frozen and shared with
+    every other build of the same ``(profile, num_threads,
+    instructions_per_thread, seed)`` in this process — they are generated
+    (and validated) once and kept in a memo bounded by
+    :data:`PROGRAM_MEMO_INSTRUCTIONS`, because trace generation was a
+    quarter to two fifths of a cold simulation cell and a campaign runs
+    each program under every configuration.
+    """
     profile = get_profile(workload) if isinstance(workload, str) else workload
-    traces = [
-        TraceGenerator(profile, tid, num_threads, seed).generate(
-            instructions_per_thread
-        )
-        for tid in range(num_threads)
-    ]
-    program = Program(
+    streams = _PROGRAM_MEMO.streams(
+        profile, num_threads, instructions_per_thread, seed
+    )
+    return Program(
         name=profile.name,
-        traces=traces,
+        traces=[
+            ThreadTrace(tid, list(stream)) for tid, stream in enumerate(streams)
+        ],
         metadata={
             "profile": profile,
             "seed": seed,
@@ -367,5 +487,3 @@ def build_program(
             },
         },
     )
-    program.validate()
-    return program

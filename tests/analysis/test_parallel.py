@@ -1,12 +1,14 @@
 """Runner/RunSpec tests: content hashing, disk cache, fan-out, retries."""
 
 import dataclasses
+import gc
 import json
 import os
 import pathlib
 
 import pytest
 
+from repro.analysis import parallel
 from repro.analysis.parallel import (
     CACHE_SCHEMA_VERSION,
     Runner,
@@ -17,11 +19,20 @@ from repro.analysis.parallel import (
     get_default_runner,
     reset_default_runner,
 )
-from repro.analysis.runner import SMOKE, AtomicMode, base_params, config
+from repro.analysis.runner import (
+    SMOKE,
+    AtomicMode,
+    ExperimentScale,
+    base_params,
+    config,
+)
+from repro.workloads.synthetic import clear_program_memo
 
 PARAMS = base_params(SMOKE)
 EAGER = config(PARAMS, AtomicMode.EAGER)
 LAZY = config(PARAMS, AtomicMode.LAZY)
+#: Small enough that a test may run a whole grid of real cells.
+TINY = ExperimentScale("tiny", 2, 200, (0,))
 
 
 def _spec(seed: int = 0, params=PARAMS) -> RunSpec:
@@ -161,6 +172,74 @@ class TestParallelExecution:
         assert warm.stats.disk_hits == len(specs)
 
 
+class TestDispatchOrder:
+    """Misses run grouped by program, first appearance first."""
+
+    @pytest.fixture
+    def recording(self):
+        template = execute_spec(RunSpec.build("fmm", EAGER, TINY))
+        executed = []
+
+        def worker(spec):
+            executed.append(spec)
+            return dataclasses.replace(template, cycles=len(executed))
+
+        return Runner(jobs=1, worker=worker), executed
+
+    def test_cells_sharing_a_program_run_back_to_back(self, recording):
+        runner, executed = recording
+        two_seeds = dataclasses.replace(TINY, seeds=(0, 1))
+        # Input order is workload, config, seed: fmm/E/0 fmm/E/1 fmm/L/0 ...
+        specs = RunSpec.grid(("fmm", "pc"), (EAGER, LAZY), two_seeds)
+        streamed = [spec for spec, _, _ in runner.run_stream(specs)]
+        assert streamed == executed
+        assert executed == [specs[i] for i in (0, 2, 1, 3, 4, 6, 5, 7)]
+        runner.clear_memo()
+        del executed[:]
+        results = runner.run_many(specs)
+        assert [m.cycles for m in results] == [1, 3, 2, 4, 5, 7, 6, 8]
+
+    def test_single_seed_grid_streams_in_input_order(self, recording):
+        runner, executed = recording
+        specs = RunSpec.grid(("fmm", "pc"), (EAGER, LAZY), TINY)
+        assert [spec for spec, _, _ in runner.run_stream(specs)] == specs
+        assert executed == specs
+
+
+class TestGcEpoch:
+    @pytest.fixture(autouse=True)
+    def _collection_enabled(self):
+        was_enabled = gc.isenabled()
+        gc.enable()
+        yield
+        if not was_enabled:
+            gc.disable()
+
+    def test_a_cell_leaves_no_dead_simulator_behind(self):
+        gc.collect()
+        execute_spec(_spec())
+        assert gc.isenabled()
+        assert gc.collect() < 1000
+
+    def test_collection_restored_when_the_cell_raises(self, monkeypatch):
+        def broken(params, program):
+            assert not gc.isenabled()
+            raise RuntimeError("synthetic simulator failure")
+
+        monkeypatch.setattr(parallel, "simulate", broken)
+        with pytest.raises(RuntimeError, match="synthetic simulator"):
+            execute_spec(_spec())
+        assert gc.isenabled()
+
+    def test_disabled_collection_stays_disabled_and_unforced(self, monkeypatch):
+        forced = []
+        monkeypatch.setattr(gc, "collect", lambda *a: forced.append(a))
+        gc.disable()
+        execute_spec(RunSpec.build("fmm", EAGER, TINY))
+        assert not gc.isenabled()
+        assert forced == []
+
+
 def _crash_once_worker(spec):
     """Fails on first invocation (per sentinel file), then succeeds."""
     sentinel = pathlib.Path(os.environ["REPRO_TEST_SENTINEL"])
@@ -223,3 +302,18 @@ class TestDefaultRunner:
         r.run(_spec())
         assert str(tmp_path) in r.summary()
         assert "1 simulated" in r.summary()
+
+    def test_summary_counts_generated_programs_through_the_pool_too(self):
+        clear_program_memo()
+        specs = RunSpec.grid(("fmm", "pc"), (EAGER, LAZY), TINY)
+        serial = Runner(jobs=1)
+        serial.run_many(specs)
+        assert serial.summary().endswith("programs generated 2")
+        # Forked workers inherit this process's memo: nothing to generate.
+        pooled = Runner(jobs=2)
+        pooled.run_many(specs)
+        assert pooled.summary().endswith("programs generated 0")
+        clear_program_memo()
+        pooled = Runner(jobs=2)
+        pooled.run_many(specs)
+        assert 2 <= pooled.stats.programs_generated <= 4

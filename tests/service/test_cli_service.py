@@ -75,6 +75,16 @@ class TestCampaignRunLocal:
         assert main(["campaign", "run", str(spec)]) == 0
         assert "0 simulated" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("action", ["validate", "run"])
+    def test_empty_seeds_exits_2(self, action, tmp_path, capsys):
+        spec = tmp_path / "noseeds.yaml"
+        spec.write_text(
+            "campaign: 1\nname: noseeds\nworkloads: [fmm]\n"
+            "configs: [{name: eager, mode: eager}]\nseeds: []\n"
+        )
+        assert main(["campaign", action, str(spec)]) == 2
+        assert "seeds must be a non-empty" in capsys.readouterr().err
+
 
 class TestSweepEmitCampaign:
     def test_emitted_spec_runs_the_same_grid(self, tmp_path, capsys):

@@ -110,6 +110,10 @@ grids:
         with pytest.raises(CampaignError, match="machines"):
             loads_campaign(MINIMAL + "machines: [new-x86]\n")
 
+    def test_empty_seeds_rejected(self):
+        with pytest.raises(CampaignError, match="seeds must be a non-empty"):
+            loads_campaign(MINIMAL + "    seeds: []\n")
+
     def test_non_mapping_document_rejected(self):
         with pytest.raises(CampaignError):
             loads_campaign("- just\n- a\n- list\n")
