@@ -1,13 +1,5 @@
-"""Figure/table regeneration, validation, ablations and reporting."""
+"""Table regeneration (one registry, one renderer), claims and reporting."""
 
-from repro.analysis.ablations import (
-    ALL_ABLATIONS,
-    aq_depth_ablation,
-    counter_width_ablation,
-    predictor_entries_ablation,
-    predictor_policy_comparison,
-    sb_depth_ablation,
-)
 from repro.analysis.export import (
     export_figures,
     export_metrics,
@@ -24,26 +16,18 @@ from repro.analysis.parallel import (
     reset_default_runner,
 )
 from repro.analysis.validate import (
+    CLAIMS,
     CheckResult,
-    VALIDATORS,
+    Claim,
     run_validation,
     validate_all,
     validate_figure,
 )
 from repro.analysis.figures import (
-    ALL_FIGURES,
-    figure1,
-    figure2,
-    figure4,
-    figure5,
-    figure6,
-    figure9,
-    figure10,
-    figure11,
-    figure12,
-    figure13,
-    headline,
-    table1,
+    TABLES,
+    Table,
+    load_table_campaign,
+    render,
 )
 from repro.analysis.report import FigureData, render_table
 from repro.analysis.runner import (
@@ -61,19 +45,15 @@ from repro.analysis.runner import (
 )
 
 __all__ = [
-    "ALL_ABLATIONS",
-    "ALL_FIGURES",
+    "CLAIMS",
     "CheckResult",
-    "VALIDATORS",
-    "aq_depth_ablation",
-    "counter_width_ablation",
+    "Claim",
+    "TABLES",
+    "Table",
     "export_figures",
     "export_metrics",
     "load_figures",
-    "predictor_entries_ablation",
-    "predictor_policy_comparison",
     "run_validation",
-    "sb_depth_ablation",
     "validate_all",
     "validate_figure",
     "ExperimentScale",
@@ -90,23 +70,13 @@ __all__ = [
     "default_cache_dir",
     "execute_spec",
     "get_default_runner",
+    "load_table_campaign",
     "reset_default_runner",
     "base_params",
     "config",
     "default_scale",
-    "figure1",
-    "figure10",
-    "figure11",
-    "figure12",
-    "figure13",
-    "figure2",
-    "figure4",
-    "figure5",
-    "figure6",
-    "figure9",
-    "headline",
     "normalized_time",
+    "render",
     "render_table",
     "scale_by_name",
-    "table1",
 ]

@@ -1,311 +1,23 @@
-"""Ablation studies for RoW's design choices (DESIGN.md §5).
+"""The profiling pass of the two-pass oracle ablation (DESIGN.md §5).
 
-The paper motivates several sizing decisions in Sec. IV-D/IV-F without a
-dedicated figure: the 64-entry predictor ("the fewer the entries, the
-higher the aliasing ... a single predictor entry ... causes a performance
-degradation by 0.3% on average compared to eager"), the 4-bit counters, the
-16-entry AQ it inherits from Free Atomics, and the +2/−1 update policy it
-mentions evaluating and rejecting.  These functions measure each choice.
-
-Like the figure functions, every ablation is a reader over a committed
-campaign spec in ``campaigns/`` (expanded through
-:mod:`repro.service.planner` and batch-run before any result is read), so
-``repro campaign run campaigns/ablation_*.yaml`` — locally or through
-``repro serve`` — warms exactly the cells these functions consume.  The
-sweep keyword arguments (``entries_sweep=``, ``widths=``, ...) rebuild
-the campaign's axes in memory when they differ from the committed
-defaults.  Pass ``runner=Runner(jobs=N, cache_dir=...)`` to fan the grid
-out and reuse previously computed points.
+Every other ablation of RoW's design choices (predictor size, counter
+width, update policy, AQ/SB depth, consistency model) is a plain
+:class:`~repro.analysis.figures.Table` record over its committed
+``campaigns/ablation_*.yaml``.  The oracle is the one whose grid cannot
+be committed whole: its ``oracle`` config carries the set of truly
+contended atomic PCs, which only exists after a profiling run.  This
+module is that first pass; the reader that prints the table lives with
+the others in :mod:`repro.analysis.figures`.
 """
 
 from __future__ import annotations
 
-from repro.analysis.report import FigureData
-from repro.analysis.parallel import Runner, get_default_runner
-from repro.analysis.runner import (
-    ExperimentScale,
-    base_params,
-    config,
-    default_scale,
-)
-from repro.common.params import AtomicMode
-from repro.common.stats import geomean
+import dataclasses
+
+from repro.analysis.runner import ExperimentScale
 from repro.sim.multicore import MulticoreSimulator
 from repro.workloads.profiles import WorkloadProfile, get_profile
 from repro.workloads.synthetic import build_program
-
-# The ablations run on the workloads whose behaviour stresses each choice:
-# contended apps expose predictor aliasing; mixed apps expose update policy.
-ABLATION_WORKLOADS: tuple[str, ...] = (
-    "canneal",
-    "cq",
-    "raytrace",
-    "tpcc",
-    "sps",
-    "pc",
-)
-
-
-def mixed_alias_profile() -> WorkloadProfile:
-    """The workload class where predictor aliasing hurts most: half the
-    atomic sites are contended (want lazy), the other half miss to a huge
-    uncontended region (want eager).  A small predictor forces both through
-    shared counters and mis-schedules one class or the other."""
-    return get_profile("canneal").with_overrides(
-        name="mixed-alias",
-        hot_fraction=0.45,
-        num_hot_lines=2,
-        atomics_per_10k=60,
-        atomic_sites=8,
-    )
-
-
-def _scale(scale: ExperimentScale | None) -> ExperimentScale:
-    return scale if scale is not None else default_scale()
-
-
-def _runner(runner: Runner | None) -> Runner:
-    return runner if runner is not None else get_default_runner()
-
-
-def _planner():
-    # Lazy import: the service layer imports repro.analysis at module
-    # level, so pulling it in eagerly here would be circular.
-    from repro.service import planner
-
-    return planner
-
-
-def _campaign(name: str):
-    from repro.service.schema import load_named_campaign
-
-    return load_named_campaign(name)
-
-
-def _label(workload) -> str:
-    return workload if isinstance(workload, str) else workload.name
-
-
-def _sat_sweep_configs(field: str, values) -> list:
-    """Eager baseline + one RW+Dir_Sat config per swept RowParams value."""
-    from repro.service.schema import ConfigSpec
-
-    short = {"predictor_entries": "entries", "counter_bits": "bits"}[field]
-    return [ConfigSpec(name="eager", mode="eager")] + [
-        ConfigSpec(
-            name=f"{short}_{value}",
-            mode="row",
-            detection="rw+dir",
-            predictor="sat",
-            row={field: value},
-        )
-        for value in values
-    ]
-
-
-def predictor_entries_ablation(
-    scale: ExperimentScale | None = None,
-    entries_sweep: tuple[int, ...] = (1, 4, 16, 64, 256),
-    workloads: tuple[str | WorkloadProfile, ...] = ABLATION_WORKLOADS,
-    runner: Runner | None = None,
-) -> FigureData:
-    """Predictor size vs aliasing (Sec. IV-D's 64-entry choice)."""
-    scale, runner = _scale(scale), _runner(runner)
-    planner = _planner()
-    camp = _campaign("ablation_predictor_entries")
-    if tuple(workloads) != ABLATION_WORKLOADS:
-        camp = camp.with_workloads(tuple(workloads) + (mixed_alias_profile(),))
-    if tuple(entries_sweep) != (1, 4, 16, 64, 256):
-        camp = camp.with_configs(
-            _sat_sweep_configs("predictor_entries", entries_sweep)
-        )
-    runner.run_many(planner.expand_campaign(camp, scale))
-    configs = planner.campaign_config_map(camp, scale)
-    eager = configs.pop("eager")
-    fig = FigureData(
-        "Ablation-A",
-        "RoW (RW+Dir_Sat) vs predictor table size (normalized to eager)",
-        ["workload"] + list(configs),
-    )
-    for wl in planner.campaign_workloads(camp):
-        row: list[object] = [_label(wl)]
-        for cfg in configs.values():
-            row.append(runner.normalized_time(wl, cfg, eager, scale))
-        fig.add_row(*row)
-    agg: list[object] = ["GEOMEAN"]
-    for i in range(1, len(fig.columns)):
-        agg.append(geomean([r[i] for r in fig.rows]))
-    fig.add_row(*agg)
-    fig.notes.append(
-        "paper: aliasing between contended and non-contended atomics grows"
-        " as entries shrink; a single shared entry degrades to roughly the"
-        " eager baseline"
-    )
-    return fig
-
-
-def counter_width_ablation(
-    scale: ExperimentScale | None = None,
-    widths: tuple[int, ...] = (1, 2, 4, 6),
-    workloads: tuple[str, ...] = ABLATION_WORKLOADS,
-    runner: Runner | None = None,
-) -> FigureData:
-    """Saturating-counter width: hysteresis depth vs adaptability."""
-    scale, runner = _scale(scale), _runner(runner)
-    planner = _planner()
-    camp = _campaign("ablation_counter_width")
-    if tuple(workloads) != ABLATION_WORKLOADS:
-        camp = camp.with_workloads(workloads)
-    if tuple(widths) != (1, 2, 4, 6):
-        camp = camp.with_configs(_sat_sweep_configs("counter_bits", widths))
-    runner.run_many(planner.expand_campaign(camp, scale))
-    configs = planner.campaign_config_map(camp, scale)
-    eager = configs.pop("eager")
-    fig = FigureData(
-        "Ablation-B",
-        "RoW (RW+Dir_Sat) vs counter width in bits (normalized to eager)",
-        ["workload"] + list(configs),
-    )
-    for wl in planner.campaign_workloads(camp):
-        row: list[object] = [_label(wl)]
-        for cfg in configs.values():
-            row.append(runner.normalized_time(wl, cfg, eager, scale))
-        fig.add_row(*row)
-    agg: list[object] = ["GEOMEAN"]
-    for i in range(1, len(fig.columns)):
-        agg.append(geomean([r[i] for r in fig.rows]))
-    fig.add_row(*agg)
-    fig.notes.append(
-        "wider counters lengthen the Sat policy's lazy hysteresis"
-        " (2^N - 1 clean runs to flip back to eager)"
-    )
-    return fig
-
-
-def predictor_policy_comparison(
-    scale: ExperimentScale | None = None,
-    workloads: tuple[str, ...] = ABLATION_WORKLOADS,
-    runner: Runner | None = None,
-) -> FigureData:
-    """UpDown vs Saturate vs the +2/−1 policy the paper evaluated and set
-    aside ("observed that the up/down and saturate predictors reach higher
-    performance benefits")."""
-    scale, runner = _scale(scale), _runner(runner)
-    planner = _planner()
-    camp = _campaign("ablation_predictor_policy")
-    if tuple(workloads) != ABLATION_WORKLOADS:
-        camp = camp.with_workloads(workloads)
-    runner.run_many(planner.expand_campaign(camp, scale))
-    configs = planner.campaign_config_map(camp, scale)
-    eager = configs.pop("eager")
-    fig = FigureData(
-        "Ablation-C",
-        "Predictor update policies with RW+Dir detection (normalized to eager)",
-        ["workload"] + list(configs),
-    )
-    for wl in planner.campaign_workloads(camp):
-        row: list[object] = [_label(wl)]
-        for cfg in configs.values():
-            row.append(runner.normalized_time(wl, cfg, eager, scale))
-        fig.add_row(*row)
-    agg: list[object] = ["GEOMEAN"]
-    for i in range(1, len(fig.columns)):
-        agg.append(geomean([r[i] for r in fig.rows]))
-    fig.add_row(*agg)
-    return fig
-
-
-def _depth_sweep_configs(mode: str, field: str, prefix: str, depths) -> list:
-    """Baseline + one config per swept SystemParams depth value."""
-    from repro.service.schema import ConfigSpec
-
-    baseline_depth = {"aq_entries": 16, "sb_entries": 32}[field]
-    return [
-        ConfigSpec(
-            name=f"baseline_{prefix}{baseline_depth}",
-            mode=mode,
-            params={field: baseline_depth},
-        )
-    ] + [
-        ConfigSpec(name=f"{prefix}_{d}", mode=mode, params={field: d})
-        for d in depths
-    ]
-
-
-def aq_depth_ablation(
-    scale: ExperimentScale | None = None,
-    depths: tuple[int, ...] = (1, 2, 4, 8, 16),
-    workloads: tuple[str, ...] = ("canneal", "freqmine", "pc"),
-    runner: Runner | None = None,
-) -> FigureData:
-    """Atomic Queue depth: how many in-flight atomics the unfenced baseline
-    needs (Free Atomics uses 16)."""
-    scale, runner = _scale(scale), _runner(runner)
-    planner = _planner()
-    camp = _campaign("ablation_aq_depth")
-    if tuple(workloads) != ("canneal", "freqmine", "pc"):
-        camp = camp.with_workloads(workloads)
-    if tuple(depths) != (1, 2, 4, 8, 16):
-        camp = camp.with_configs(
-            _depth_sweep_configs("eager", "aq_entries", "aq", depths)
-        )
-    runner.run_many(planner.expand_campaign(camp, scale))
-    configs = planner.campaign_config_map(camp, scale)
-    baseline = configs.pop("baseline_aq16")
-    fig = FigureData(
-        "Ablation-D",
-        "Eager execution vs AQ depth (normalized to the 16-entry AQ)",
-        ["workload"] + list(configs),
-    )
-    for wl in planner.campaign_workloads(camp):
-        row: list[object] = [_label(wl)]
-        for cfg in configs.values():
-            row.append(runner.normalized_time(wl, cfg, baseline, scale))
-        fig.add_row(*row)
-    fig.notes.append(
-        "atomic-intensive non-contended apps (canneal) need several AQ"
-        " entries to overlap atomic misses; contended apps saturate early"
-    )
-    return fig
-
-
-def sb_depth_ablation(
-    scale: ExperimentScale | None = None,
-    depths: tuple[int, ...] = (4, 8, 16, 32),
-    workloads: tuple[str, ...] = ("canneal", "pc"),
-    runner: Runner | None = None,
-) -> FigureData:
-    """Store-buffer depth: the lazy condition waits for a full SB drain, so
-    a deeper SB (more buffered stores) lengthens every lazy atomic's
-    dispatch-to-issue wait, while eager execution mostly ignores it."""
-    scale, runner = _scale(scale), _runner(runner)
-    planner = _planner()
-    camp = _campaign("ablation_sb_depth")
-    if tuple(workloads) != ("canneal", "pc"):
-        camp = camp.with_workloads(workloads)
-    if tuple(depths) != (4, 8, 16, 32):
-        camp = camp.with_configs(
-            _depth_sweep_configs("lazy", "sb_entries", "sb", depths)
-        )
-    runner.run_many(planner.expand_campaign(camp, scale))
-    configs = planner.campaign_config_map(camp, scale)
-    baseline = configs.pop("baseline_sb32")
-    fig = FigureData(
-        "Ablation-E",
-        "Lazy execution vs SB depth (normalized to the 32-entry SB)",
-        ["workload"] + list(configs),
-    )
-    for wl in planner.campaign_workloads(camp):
-        row: list[object] = [_label(wl)]
-        for cfg in configs.values():
-            row.append(runner.normalized_time(wl, cfg, baseline, scale))
-        fig.add_row(*row)
-    fig.notes.append(
-        "a shallow SB throttles dispatch (stores stall allocation); a deep"
-        " one lengthens the drain every lazy atomic waits for — the tension"
-        " behind Table I's 128-entry choice"
-    )
-    return fig
 
 
 def collect_contended_pcs(
@@ -341,90 +53,37 @@ def collect_contended_pcs(
     return tuple(sorted(pcs))
 
 
-def oracle_schedule_ablation(
-    scale: ExperimentScale | None = None,
-    workloads: tuple[str, ...] = ABLATION_WORKLOADS,
-    runner: Runner | None = None,
-) -> FigureData:
-    """Two-pass oracle upper bound on per-PC atomic scheduling.
+def oracle_campaign(campaign, scale: ExperimentScale):
+    """Pass 1 of the oracle ablation: profile each workload of
+    ``campaign`` under its ``eager`` config (first seed) and return
+    ``(per_workload, pcs)`` — a copy with one grid per workload whose
+    configs gain an ``oracle`` entry carrying that workload's contended
+    PCs as a ``row:`` override (so exactly those PCs execute lazy), and
+    the PC sets in grid order.  The copy is programmatic (the PC sets only
+    exist at runtime) but expands through the same planner as the
+    committed specs."""
+    # Lazy import: the service layer imports repro.analysis at module level.
+    from repro.service import planner
+    from repro.service.schema import ConfigSpec
 
-    Pass 1 profiles each workload (eager, first seed) and collects the set
-    of truly contended atomic PCs; pass 2 builds a per-workload campaign
-    whose oracle config carries those PCs as a ``row:`` override, so
-    exactly those PCs execute lazy.  The per-run campaigns are programmatic
-    (the PC sets only exist at runtime) but expand through the same
-    planner as the committed specs.  The gap between RoW and the oracle is
-    the headroom left to the predictor; the gap between the oracle and
-    all-lazy is what indiscriminate laziness costs."""
-    scale, runner = _scale(scale), _runner(runner)
-    planner = _planner()
-    from repro.service.schema import (
-        Campaign,
-        ConfigSpec,
-        GridSpec,
-        as_workload_spec,
-    )
-
-    profiling_params = config(base_params(scale), AtomicMode.EAGER)
-    fig = FigureData(
-        "Ablation-F",
-        "Profile-guided oracle vs realizable policies (normalized to eager)",
-        ["workload", "lazy", "row", "oracle", "oracle_pcs"],
-    )
-    for wl in workloads:
-        pcs = collect_contended_pcs(
-            wl, profiling_params, scale, seed=scale.seeds[0]
+    profiling_params = planner.campaign_config_map(campaign, scale)["eager"]
+    base = campaign.grids[0]
+    grids, pcs = [], []
+    for workload in base.workloads:
+        pcs.append(
+            collect_contended_pcs(
+                planner.resolve_workload(workload),
+                profiling_params,
+                scale,
+                seed=scale.seeds[0],
+            )
         )
-        camp = Campaign(
-            name=f"oracle-{_label(wl)}",
-            grids=(
-                GridSpec(
-                    workloads=(as_workload_spec(wl),),
-                    configs=(
-                        ConfigSpec(name="eager", mode="eager"),
-                        ConfigSpec(name="lazy", mode="lazy"),
-                        ConfigSpec(
-                            name="row",
-                            mode="row",
-                            detection="rw+dir",
-                            predictor="sat",
-                        ),
-                        ConfigSpec(
-                            name="oracle",
-                            mode="oracle",
-                            row={"oracle_contended_pcs": pcs},
-                        ),
-                    ),
-                ),
-            ),
+        oracle = ConfigSpec(
+            name="oracle", mode="oracle", row={"oracle_contended_pcs": pcs[-1]}
         )
-        runner.run_many(planner.expand_campaign(camp, scale))
-        configs = planner.campaign_config_map(camp, scale)
-        eager = configs["eager"]
-        fig.add_row(
-            _label(wl),
-            runner.normalized_time(wl, configs["lazy"], eager, scale),
-            runner.normalized_time(wl, configs["row"], eager, scale),
-            runner.normalized_time(wl, configs["oracle"], eager, scale),
-            len(pcs),
+        grids.append(
+            dataclasses.replace(
+                base, workloads=(workload,), configs=(*base.configs, oracle)
+            )
         )
-    agg: list[object] = ["GEOMEAN"]
-    for i in range(1, len(fig.columns) - 1):
-        agg.append(geomean([r[i] for r in fig.rows]))
-    agg.append("")
-    fig.add_row(*agg)
-    fig.notes.append(
-        "oracle = per-PC ground truth from a profiling pass; an ideal"
-        " predictor with zero training/aliasing loss would match it"
-    )
-    return fig
-
-
-ALL_ABLATIONS = {
-    "predictor_entries": predictor_entries_ablation,
-    "counter_width": counter_width_ablation,
-    "predictor_policy": predictor_policy_comparison,
-    "aq_depth": aq_depth_ablation,
-    "sb_depth": sb_depth_ablation,
-    "oracle_schedule": oracle_schedule_ablation,
-}
+    return dataclasses.replace(campaign, grids=tuple(grids)), pcs

@@ -7,11 +7,14 @@ scripts, CI comparisons against recorded baselines, notebooks).
 from __future__ import annotations
 
 import enum
+import hashlib
 import json
 import pathlib
 from dataclasses import asdict
 from typing import Iterable
 
+from repro import __version__
+from repro.analysis.golden import DEFAULT_SNAPSHOT
 from repro.analysis.report import FigureData
 from repro.analysis.runner import ExperimentScale, RunMetrics
 
@@ -68,14 +71,27 @@ def figure_from_dict(payload: dict) -> FigureData:
     return fig
 
 
+def golden_digest() -> str | None:
+    """sha256 of the committed golden snapshot (``None`` outside a repo
+    checkout).  Tables record it so that re-baselining the simulator's
+    behaviour without regenerating them is detectable."""
+    try:
+        return hashlib.sha256(DEFAULT_SNAPSHOT.read_bytes()).hexdigest()
+    except OSError:
+        return None
+
+
 def export_figures(
     figures: Iterable[FigureData],
     path: str | pathlib.Path,
     scale: ExperimentScale | None = None,
 ) -> pathlib.Path:
-    """Write a JSON bundle of figures (plus the scale they ran at)."""
+    """Write a JSON bundle of figures plus their provenance: the scale
+    they ran at, the engine version and the golden snapshot digest."""
     path = pathlib.Path(path)
     payload = {
+        "engine": __version__,
+        "golden_sha256": golden_digest(),
         "scale": None if scale is None else {
             "name": scale.name,
             "num_threads": scale.num_threads,

@@ -3,15 +3,15 @@
 Commands
 --------
 run        simulate one workload under one or more execution policies
-figure     regenerate one of the paper's figures/tables
+figure     regenerate tables of the evaluation (any id of ``repro list``, or all)
 campaign   run or validate a declarative campaign spec (campaigns/*.yaml)
 serve      the sharded campaign service over HTTP (resumes on restart)
 client     submit/status/fetch against a running ``repro serve``
 microbench run the Sec. II-A fence microbenchmark
 litmus     run litmus programs against the exhaustive-interleaving oracle
-list       list workloads and figures
+list       list workloads, tables and litmus programs
 sweep      sweep a workload knob (hot_fraction / atomics_per_10k)
-validate   check the paper's qualitative claims end to end
+validate   regenerate tables and check the paper's qualitative claims
 profile    cProfile one simulation run (top-N by cumulative time)
 lint       static protocol/convention/architecture/effect lint
 effects    dump the interprocedural effect summary (and effect findings)
@@ -28,10 +28,10 @@ contract below.
 ``--jobs/-j N`` to fan the (workload × config × seed) job grid across
 worker processes, and ``--cache-dir``/``--no-cache`` to control the
 persistent on-disk result cache (default: ``$REPRO_CACHE_DIR`` or
-``~/.cache/repro``).  A warm cache re-renders a figure without running a
-single simulation — and because figures and campaign specs expand through
-the same planner, warming a campaign (locally or through the service)
-warms the figure too.
+``~/.cache/repro``).  ``figure``, ``campaign run`` and ``validate`` are
+one code path — :func:`repro.analysis.figures.render` over a campaign —
+so a warm cache re-renders a table without running a single simulation,
+and warming a campaign (locally or through the service) warms its table.
 
 Exit codes
 ----------
@@ -48,7 +48,8 @@ import os
 import pathlib
 import sys
 
-from repro.analysis.figures import ALL_FIGURES
+from repro.analysis import figures
+from repro.analysis.figures import TABLES
 from repro.analysis.parallel import Runner, default_cache_dir
 from repro.analysis.report import render_table
 from repro.analysis.runner import default_scale
@@ -397,9 +398,12 @@ def _check_campaigns() -> int:
         print(f"campaign gate failed: no specs found under {spec_dir}")
         return 1
     jobs = 0
+    outputs: dict[str, str] = {}  # spec stem -> the output id it names
     for path in paths:
         try:
             campaign = schema.load_campaign(path)
+            if campaign.output.kind != "none":
+                outputs[path.stem] = campaign.output.id
             if campaign.kind == "microbench":
                 jobs += len(planner.expand_microbench(campaign))
             elif campaign.kind == "litmus":
@@ -410,6 +414,27 @@ def _check_campaigns() -> int:
             print(f"campaign gate failed: {path.name}: {exc}")
             return 1
     print(f"validated {len(paths)} campaign specs ({jobs} unique jobs)")
+    print(
+        f"tables: {len(TABLES)} registered, {len(outputs)} campaigns"
+        f" ({len(TABLES) - len(outputs)} table simulates nothing)"
+    )
+    orphans = [
+        f"{stem}.yaml (output id {out!r})"
+        for stem, out in outputs.items() if out != stem or out not in TABLES
+    ]
+    for table_id in TABLES:  # Table I's campaign is in memory: no grid
+        try:
+            named = figures.load_table_campaign(table_id).output.id
+        except schema.CampaignError:
+            named = None
+        if named != table_id:
+            orphans.append(f"table {table_id} (its campaign names {named!r})")
+    if orphans:
+        print(
+            "campaign gate failed: a table's id, its campaigns/<id>.yaml and"
+            f" that spec's output id must agree: {', '.join(orphans)}"
+        )
+        return 1
 
     smoke = spec_dir / "smoke.yaml"
     pool = ShardPool(Runner())
@@ -516,23 +541,52 @@ def cmd_check(args) -> int:
     )
 
 
-def cmd_figure(args) -> int:
-    from repro.analysis import figures
+def _repinned(campaign, consistency: str):
+    """``campaign`` with every config pinned to one consistency model."""
+    import dataclasses
 
-    fn = ALL_FIGURES[args.figure]
-    scale = _resolve_scale(args)
-    runner = _runner(args)
-    if args.consistency != "tso":
-        figures.set_consistency_override(args.consistency)
+    for index, grid in enumerate(campaign.grids):
+        campaign = campaign.with_configs(
+            [dataclasses.replace(c, consistency=consistency) for c in grid.configs],
+            grid=index,
+        )
+    return campaign
+
+
+def _render(campaign, scale, runner):
+    from repro.service.schema import CampaignError
+
     try:
-        fig = fn(scale, runner=runner)
-    finally:
-        figures.set_consistency_override(None)
-    print(fig.render())
-    print(f"repro: {runner.summary()}", file=sys.stderr)
+        return figures.render(campaign, scale, runner)
+    except CampaignError as exc:
+        raise UsageError(str(exc)) from exc
+
+
+def cmd_figure(args) -> int:
+    from repro.analysis.export import export_figures
+
+    ids = list(TABLES) if "all" in args.figure else args.figure
+    scale = _resolve_scale(args)
+    out_dir = None
     if args.output:
-        with open(args.output, "w") as fh:
-            fh.write(fig.render())
+        # Before simulating, so a bad path fails in milliseconds.
+        out_dir = pathlib.Path(args.output)
+        try:
+            out_dir.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise UsageError(f"cannot create --output {out_dir}: {exc}") from exc
+    runner = _runner(args)
+    for table_id in ids:
+        campaign = figures.load_table_campaign(table_id)
+        if args.consistency != "tso":
+            campaign = _repinned(campaign, args.consistency)
+        fig = _render(campaign, scale, runner)
+        text = fig.render()
+        print(text)
+        if out_dir is not None:
+            (out_dir / f"{table_id}.txt").write_text(text)
+            export_figures([fig], out_dir / f"{table_id}.json", scale)
+    print(f"repro: {runner.summary()}", file=sys.stderr)
     return 0
 
 
@@ -574,14 +628,9 @@ def cmd_serve(args) -> int:
 
 
 def _campaign_output(campaign, scale, runner) -> None:
-    """Render the spec's declared output from the now-warm cache."""
-    if campaign.output.kind == "figure" and campaign.output.id in ALL_FIGURES:
-        print(ALL_FIGURES[campaign.output.id](scale, runner=runner).render())
-    elif campaign.output.kind == "ablation":
-        from repro.analysis.ablations import ALL_ABLATIONS
-
-        if campaign.output.id in ALL_ABLATIONS:
-            print(ALL_ABLATIONS[campaign.output.id](scale, runner=runner).render())
+    """Print the table the spec's ``output:`` names, over *its* cells."""
+    if campaign.output.kind != "none":
+        print(_render(campaign, scale, runner).render())
 
 
 def _campaign_run_remote(args) -> int:
@@ -667,41 +716,28 @@ def cmd_campaign(args) -> int:
         _campaign_output(campaign, scale, None)
         return rc
     if campaign.kind == "microbench":
-        from repro.analysis.figures import MACHINE_PARAMS
-
-        jobs = planner.expand_microbench(campaign, scale)
-        params = {m: MACHINE_PARAMS[m]() for m in campaign.machines}
-        rows = []
-        for job in jobs:
-            program = build_microbench(
-                job.op, job.variant, iterations=job.iterations
-            )
-            result = simulate(params[job.machine], program)
-            rows.append([
-                job.machine, job.op.value, job.variant,
-                round(result.cycles / job.iterations, 2),
-            ])
-        print(
-            render_table(
-                f"campaign {campaign.name} ({len(jobs)} microbench jobs)",
-                ["machine", "op", "variant", "cycles/iter"],
-                rows,
-            )
-        )
-        _campaign_output(campaign, scale, None)
+        # One table shape fits these axes, whatever ``output:`` says.
+        try:
+            print(figures.microbench_table(campaign, scale, None).render())
+        except schema.CampaignError as exc:
+            raise UsageError(str(exc)) from exc
         return 0
     runner = _runner(args)
     try:
         specs = planner.expand_campaign(campaign, scale)
     except schema.CampaignError as exc:
         raise UsageError(str(exc)) from exc
-    runner.run_many(specs)
     print(
         f"campaign {campaign.name}: {len(specs)} unique cells at scale"
         f" {scale.name}"
     )
+    if campaign.output.kind == "none":
+        runner.run_many(specs)
+    else:
+        # The table's reader runs the cells itself, after checking that
+        # the spec defines what it reads.
+        _campaign_output(campaign, scale, runner)
     print(f"repro: {runner.summary()}", file=sys.stderr)
-    _campaign_output(campaign, scale, runner)
     return 0
 
 
@@ -741,9 +777,7 @@ def cmd_client(args) -> int:
 
 
 def cmd_microbench(args) -> int:
-    from repro.analysis.figures import legacy_core_params, modern_core_params
-
-    params = legacy_core_params() if args.machine == "old" else modern_core_params()
+    params = figures.MACHINE_PARAMS[f"{args.machine}-x86"]()
     rows = []
     for op in (AtomicOp.FAA, AtomicOp.CAS, AtomicOp.SWAP):
         for variant in VARIANTS:
@@ -802,7 +836,7 @@ def cmd_list(_args) -> int:
     )
     from repro.workloads.litmus_oracle import LITMUS_TESTS
 
-    print("figures:", ", ".join(sorted(ALL_FIGURES)))
+    print("tables:", ", ".join(TABLES))
     print("litmus:", ", ".join(sorted(LITMUS_TESTS)))
     print(
         "hint: figure/sweep/validate accept -j/--jobs N (parallel workers),"
@@ -1034,17 +1068,15 @@ def cmd_profile(args) -> int:
 
 
 def cmd_validate(args) -> int:
-    from repro.analysis.validate import VALIDATORS, run_validation
+    from repro.analysis.validate import run_validation
 
     scale = _resolve_scale(args)
     runner = _runner(args)
-    names = args.figures or sorted(VALIDATORS)
-    results = run_validation(names, scale, runner=runner)
-    failures = 0
+    results = run_validation(args.figures or None, scale, runner=runner)
     for result in results:
         print(result)
-        failures += not result.passed
-    print(f"\n{failures} failing check(s)" if failures else "\nall checks passed")
+    failures = sum(not result.passed for result in results)
+    print(f"\n{len(results)} checks, {failures} failing")
     print(f"repro: {runner.summary()}", file=sys.stderr)
     return 1 if failures else 0
 
@@ -1118,12 +1150,20 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_check.set_defaults(fn=cmd_check)
 
-    p_fig = sub.add_parser("figure", help="regenerate a paper figure")
-    p_fig.add_argument("figure", choices=sorted(ALL_FIGURES))
+    p_fig = sub.add_parser(
+        "figure", help="regenerate tables from their committed campaigns"
+    )
+    p_fig.add_argument(
+        "figure", nargs="+", choices=[*TABLES, "all"], metavar="ID",
+        help=f"table id(s), or all: {', '.join(TABLES)}",
+    )
     _add_scale(p_fig)
     _add_consistency(p_fig)
     _add_runner_flags(p_fig)
-    p_fig.add_argument("--output", help="also write the table to a file")
+    p_fig.add_argument(
+        "--output", metavar="DIR",
+        help="also write <id>.txt and <id>.json (with provenance) there",
+    )
     p_fig.set_defaults(fn=cmd_figure)
 
     p_micro = sub.add_parser("microbench", help="Sec. II-A fence microbenchmark")
@@ -1154,7 +1194,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_litmus.set_defaults(fn=cmd_litmus)
 
-    p_list = sub.add_parser("list", help="list workloads and figures")
+    p_list = sub.add_parser("list", help="list workloads, tables and litmus")
     p_list.set_defaults(fn=cmd_list)
 
     p_val = sub.add_parser(
@@ -1162,7 +1202,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_scale(p_val)
     _add_runner_flags(p_val)
-    p_val.add_argument("--figures", nargs="*", help="subset of figures to check")
+    p_val.add_argument(
+        "--figures", nargs="*", choices=list(TABLES), metavar="ID",
+        help="subset of tables to check (default: every table)",
+    )
     p_val.set_defaults(fn=cmd_validate)
 
     p_trace = sub.add_parser(

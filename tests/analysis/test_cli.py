@@ -22,7 +22,12 @@ class TestParser:
 
     def test_figure_choices(self):
         args = build_parser().parse_args(["figure", "fig5", "--scale", "smoke"])
-        assert args.figure == "fig5"
+        assert args.figure == ["fig5"]
+        args = build_parser().parse_args(["figure", "ext_far", "ablation_sb_depth"])
+        assert args.figure == ["ext_far", "ablation_sb_depth"]
+        assert build_parser().parse_args(["figure", "all"]).figure == ["all"]
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["figure", "fig3"])
 
     def test_sweep_values_parsing(self):
         args = build_parser().parse_args(
@@ -36,7 +41,11 @@ class TestCommands:
         assert main(["list"]) == 0
         out = capsys.readouterr().out
         assert "canneal" in out
-        assert "fig9" in out
+        from repro.analysis.figures import TABLES
+
+        tables_line = next(l for l in out.splitlines() if l.startswith("tables:"))
+        assert tables_line == "tables: " + ", ".join(TABLES)
+        assert "fig9" in TABLES and "ext_scaling" in TABLES
 
     def test_run_quick(self, capsys):
         rc = main(
@@ -65,10 +74,26 @@ class TestCommands:
         assert "lock+mfence" in out
 
     def test_figure_to_file(self, tmp_path, capsys):
-        out_file = tmp_path / "t.txt"
-        rc = main(["figure", "table1", "--scale", "smoke", "--output", str(out_file)])
+        import json
+
+        out_dir = tmp_path / "new" / "dir"
+        rc = main(["figure", "table1", "--scale", "smoke", "--output", str(out_dir)])
         assert rc == 0
-        assert "cores" in out_file.read_text()
+        text = (out_dir / "table1.txt").read_text()
+        assert text == capsys.readouterr().out[: len(text)]  # header-free, as printed
+        payload = json.loads((out_dir / "table1.json").read_text())
+        assert payload["scale"]["name"] == "smoke"
+        assert payload["engine"] and len(payload["golden_sha256"]) == 64
+        assert payload["figures"][0]["rows"][0] == ["cores", 32]
+
+    def test_figure_bad_output_fails_before_simulating(self, tmp_path, capsys):
+        blocker = tmp_path / "file"
+        blocker.write_text("not a directory")
+        rc = main(["figure", "fig9", "--output", str(blocker / "sub")])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert "repro figure: error: cannot create --output" in captured.err
+        assert captured.out == ""  # nothing was rendered
 
     def test_trace_generate_inspect_run(self, tmp_path, capsys):
         path = tmp_path / "t.json"
@@ -250,10 +275,10 @@ class TestRunnerFlags:
 
     def test_warm_cache_figure_runs_zero_simulations(self, tmp_path, capsys):
         cache = str(tmp_path / "cache")
-        assert main(["figure", "fig1", "--scale", "smoke", "--cache-dir", cache]) == 0
+        assert main(["figure", "fig5", "--scale", "smoke", "--cache-dir", cache]) == 0
         first = capsys.readouterr()
         assert "0 simulated" not in first.err
-        assert main(["figure", "fig1", "--scale", "smoke", "--cache-dir", cache]) == 0
+        assert main(["figure", "fig5", "--scale", "smoke", "--cache-dir", cache]) == 0
         second = capsys.readouterr()
         assert "0 simulated" in second.err
         assert first.out == second.out

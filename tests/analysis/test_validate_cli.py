@@ -1,4 +1,4 @@
-"""CLI validate command tests (stubbed figures: no simulation cost)."""
+"""CLI validate command tests (stubbed table readers: no simulation cost)."""
 
 import pytest
 
@@ -24,10 +24,10 @@ def fake_fig1(good: bool) -> FigureData:
 @pytest.fixture
 def stub_figures(monkeypatch):
     def install(good: bool):
-        import repro.cli as cli
+        from repro.analysis.figures import TABLES
 
         monkeypatch.setitem(
-            cli.ALL_FIGURES, "fig1", lambda scale, runner=None: fake_fig1(good)
+            TABLES, "fig1", lambda campaign, scale, runner: fake_fig1(good)
         )
 
     return install
@@ -39,7 +39,7 @@ class TestValidateCommand:
         rc = main(["validate", "--scale", "smoke", "--figures", "fig1"])
         out = capsys.readouterr().out
         assert rc == 0
-        assert "all checks passed" in out
+        assert "5 checks, 0 failing" in out
         assert "[PASS]" in out
 
     def test_failing_checks_exit_nonzero(self, stub_figures, capsys):
@@ -48,4 +48,25 @@ class TestValidateCommand:
         out = capsys.readouterr().out
         assert rc == 1
         assert "[FAIL]" in out
-        assert "failing check" in out
+        assert "5 checks, 1 failing" in out
+
+    def test_unknown_table_exits_2_listing_the_valid_ids(self, capsys):
+        """At the parent this was a KeyError traceback."""
+        with pytest.raises(SystemExit) as excinfo:
+            main(["validate", "--figures", "bogus"])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert "bogus" in err and "fig13" in err and "ext_scaling" in err
+
+    def test_no_table_passes_with_zero_checks(self, monkeypatch, capsys):
+        """At the parent, ``--figures fig4`` regenerated the figure, ran
+        no check and printed "all checks passed"."""
+        from repro.analysis.figures import TABLES
+        from repro.analysis.report import FigureData as Fig
+
+        empty = Fig("Fig.4", "stub", ["workload"])
+        monkeypatch.setitem(TABLES, "fig4", lambda campaign, scale, runner: empty)
+        rc = main(["validate", "--scale", "smoke", "--figures", "fig4"])
+        out = capsys.readouterr().out
+        assert rc == 1
+        assert "3 checks, 3 failing" in out

@@ -1,17 +1,21 @@
-"""The committed campaign specs expand to exactly the grids the figure
-and ablation code used to build by hand — asserted spec-set equality, so
-`repro figure figN` and `repro campaign run campaigns/figN.yaml` hit the
-same cache entries by construction."""
+"""The committed campaign specs expand to exactly the grids the figure,
+ablation and extension-bench code used to build by hand — asserted
+spec-set equality, so the hand-built grids below are the reference the
+specs are held to, and `repro figure <id>` and `repro campaign run
+campaigns/<id>.yaml` hit the same cache entries by construction."""
 
 import pathlib
 from dataclasses import replace
 
+import pytest
+
 import repro.analysis.ablations as ablations_mod
 import repro.analysis.figures as figures_mod
-from repro.analysis.ablations import ABLATION_WORKLOADS, mixed_alias_profile
-from repro.analysis.figures import ATOMIC_WORKLOADS
+from repro.analysis.figures import TABLES, load_table_campaign
 from repro.analysis.parallel import RunSpec
 from repro.analysis.runner import (
+    FULL,
+    QUICK,
     ROW_VARIANTS,
     SMOKE,
     base_params,
@@ -19,7 +23,30 @@ from repro.analysis.runner import (
 )
 from repro.common.params import AtomicMode, DetectionMode, PredictorKind
 from repro.service import planner
-from repro.service.schema import load_named_campaign
+from repro.service.schema import (
+    default_campaign_dir,
+    load_campaign,
+    load_named_campaign,
+)
+from repro.workloads.profiles import FIGURE_ORDER as ATOMIC_WORKLOADS
+from repro.workloads.profiles import get_profile
+
+# The workloads whose behaviour stresses each sizing choice: contended
+# apps expose predictor aliasing; mixed apps expose update policy.
+ABLATION_WORKLOADS = ("canneal", "cq", "raytrace", "tpcc", "sps", "pc")
+
+
+def mixed_alias_profile():
+    """The workload class where predictor aliasing hurts most: half the
+    atomic sites are contended (want lazy), the other half miss to a huge
+    uncontended region (want eager)."""
+    return get_profile("canneal").with_overrides(
+        name="mixed-alias",
+        hot_fraction=0.45,
+        num_hot_lines=2,
+        atomics_per_10k=60,
+        atomic_sites=8,
+    )
 
 
 def expand(name, scale=SMOKE):
@@ -140,6 +167,84 @@ class TestAblationParity:
         assert expand("ablation_sb_depth") == manual
 
 
+class TestExtensionParity:
+    """The grids `bench_far_atomics.py` / `bench_core_scaling.py` built by
+    hand, now `campaigns/ext_*.yaml` in existing schema fields only."""
+
+    @pytest.mark.parametrize("scale", [SMOKE, QUICK], ids=lambda s: s.name)
+    def test_far_atomics_grid(self, scale):
+        base = base_params(scale)
+        configs = [
+            config(base, mode)
+            for mode in (
+                AtomicMode.EAGER, AtomicMode.LAZY, AtomicMode.ROW, AtomicMode.FAR
+            )
+        ]
+        workloads = ("canneal", "freqmine", "cq", "tatp", "raytrace", "tpcc", "sps", "pc")
+        manual = set(RunSpec.grid(workloads, configs, scale))
+        assert expand("ext_far", scale) == manual
+        assert len(manual) == 8 * 4 * len(scale.seeds)
+
+    @pytest.mark.parametrize("scale", [QUICK, FULL], ids=lambda s: s.name)
+    def test_core_scaling_grid(self, scale):
+        # The bench ran `cores` threads on `cores` cores; the planner runs
+        # min(scale threads, cores), which is the same wherever the scale
+        # has at least 8 threads (every scale but smoke).
+        base = base_params(scale)
+        manual = set()
+        for cores in (2, 4, 8):
+            params = replace(base, num_cores=cores)
+            at_count = replace(scale, num_threads=cores)
+            for mode in (AtomicMode.LAZY, AtomicMode.EAGER):
+                manual.update(RunSpec.for_seeds("pc", config(params, mode), at_count))
+        assert expand("ext_scaling", scale) == manual
+        assert len(manual) == 3 * 2 * len(scale.seeds)
+
+    def test_oracle_ablation_commits_the_realizable_policies(self):
+        base = base_params(SMOKE)
+        configs = [
+            config(base, AtomicMode.EAGER),
+            config(base, AtomicMode.LAZY),
+            config(base, AtomicMode.ROW, DetectionMode.RW_DIR, PredictorKind.SATURATE),
+        ]
+        manual = set(RunSpec.grid(ABLATION_WORKLOADS, configs, SMOKE))
+        assert expand("ablation_oracle_schedule") == manual
+
+
+class TestRegistryMatchesSpecs:
+    """A table's id, its `campaigns/<id>.yaml` and that spec's `output.id`
+    are one name, on both sides."""
+
+    def committed_outputs(self):
+        outputs = {}
+        for path in sorted(default_campaign_dir().glob("*.yaml")):
+            campaign = load_campaign(path)
+            if campaign.output.kind != "none":
+                outputs[path.stem] = campaign.output.id
+        return outputs
+
+    def test_every_output_names_its_own_table(self):
+        outputs = self.committed_outputs()
+        assert all(stem == out for stem, out in outputs.items()), outputs
+        assert set(outputs) <= set(TABLES)
+
+    def test_every_table_has_exactly_its_campaign(self):
+        # Table I simulates nothing, so no grid is committed for it; its
+        # campaign is the in-memory `base: paper` one.
+        assert set(TABLES) - {"table1"} == set(self.committed_outputs())
+        for table_id in TABLES:
+            campaign = load_table_campaign(table_id)
+            assert campaign.output.id == table_id
+        assert load_table_campaign("table1").base == "paper"
+        assert not (default_campaign_dir() / "table1.yaml").exists()
+
+    def test_only_plumbing_campaigns_render_nothing(self):
+        silent = {
+            p.stem for p in default_campaign_dir().glob("*.yaml")
+        } - set(self.committed_outputs())
+        assert silent == {"litmus", "smoke"}
+
+
 class TestNoHandWrittenGrids:
     """The satellite contract: figures/ablations contain no hand-rolled
     prefetch grids anymore — every grid flows through the campaign planner."""
@@ -152,18 +257,19 @@ class TestNoHandWrittenGrids:
         assert "prefetch(" not in self._source(ablations_mod)
 
     def test_no_runspec_grid_calls_remain(self):
-        assert "RunSpec.grid(" not in self._source(figures_mod)
-        assert "RunSpec.grid(" not in self._source(ablations_mod)
+        for module in (figures_mod, ablations_mod):
+            assert "RunSpec.grid(" not in self._source(module)
+            assert "RunSpec(" not in self._source(module)
+            assert "for_seeds(" not in self._source(module)
 
     def test_every_figure_campaign_is_committed(self):
-        from repro.service.schema import default_campaign_dir
-
         committed = {p.stem for p in default_campaign_dir().glob("*.yaml")}
         for name in (
             "fig1", "fig2", "fig4", "fig5", "fig6", "fig9", "fig10",
             "fig11", "fig12", "fig13", "headline", "smoke",
             "ablation_predictor_entries", "ablation_counter_width",
             "ablation_predictor_policy", "ablation_aq_depth",
-            "ablation_sb_depth",
+            "ablation_sb_depth", "ablation_oracle_schedule",
+            "ablation_consistency", "ext_far", "ext_scaling",
         ):
             assert name in committed, name

@@ -75,6 +75,52 @@ class TestCampaignRunLocal:
         assert main(["campaign", "run", str(spec)]) == 0
         assert "0 simulated" in capsys.readouterr().err
 
+    CUSTOM = (
+        "campaign: 1\nname: my-slice\nscale: smoke\nworkloads: [fmm, pc]\n"
+        "num_threads: 2\ninstructions_per_thread: 300\n"
+        "configs:\n  - {name: eager, mode: eager}\n  - {name: lazy, mode: lazy}\n"
+        "output: {kind: figure, id: fig9}\n"
+    )
+
+    def test_output_is_rendered_from_the_spec_it_was_given(self, tmp_path, capsys):
+        """At the parent this printed the committed 13-workload x 8-config
+        fig9 table and simulated its 100 other cells."""
+        spec = tmp_path / "my.yaml"
+        spec.write_text(self.CUSTOM)
+        assert main(["campaign", "run", str(spec)]) == 0
+        captured = capsys.readouterr()
+        assert "4 unique cells at scale smoke" in captured.out
+        assert "repro: 4 simulated" in captured.err
+        table = captured.out[captured.out.index("Fig.9"):].splitlines()
+        assert [c.strip() for c in table[2].split("|")] == ["workload", "eager", "lazy"]
+        assert [row.split("|")[0].strip() for row in table[4:7]] == [
+            "fmm", "pc", "GEOMEAN"
+        ]
+        assert not any(table[7:])
+
+    def test_spec_without_the_tables_baseline_exits_2(self, tmp_path, capsys):
+        spec = tmp_path / "my.yaml"
+        spec.write_text(self.CUSTOM.replace("name: eager", "name: rush"))
+        assert main(["campaign", "run", str(spec)]) == 2
+        err = capsys.readouterr().err
+        assert "repro campaign: error:" in err
+        assert "eager" in err and "rush, lazy" in err
+        assert "Traceback" not in err and "simulated" not in err  # refused up front
+
+    def test_microbench_campaign_prints_its_own_axes(self, tmp_path, capsys):
+        spec = tmp_path / "mb.yaml"
+        spec.write_text(
+            "campaign: 1\nname: mb\nkind: microbench\nmachines: [new-x86]\n"
+            "ops: [faa]\nvariants: [plain, lock]\niterations: 40\n"
+            "output: {kind: figure, id: fig2}\n"
+        )
+        assert main(["campaign", "run", str(spec)]) == 0
+        rows = [
+            line for line in capsys.readouterr().out.splitlines()
+            if line.startswith(("old-x86", "new-x86"))
+        ]
+        assert len(rows) == 2  # once, not the jobs table plus the figure
+
     @pytest.mark.parametrize("action", ["validate", "run"])
     def test_empty_seeds_exits_2(self, action, tmp_path, capsys):
         spec = tmp_path / "noseeds.yaml"
