@@ -57,7 +57,7 @@ from repro.common.params import AtomicMode, SystemParams
 from repro.common.stats import geomean
 from repro.isa.instructions import AtomicOp
 from repro.isa.serialize import load_program, save_program
-from repro.sim.multicore import simulate
+from repro.sim.multicore import MulticoreSimulator, simulate
 from repro.workloads.inspect import analyze_program
 from repro.workloads.microbench import VARIANTS, build_microbench
 from repro.workloads.profiles import WORKLOADS
@@ -332,21 +332,49 @@ def _check_golden() -> int:
     return 0
 
 
+class _LazyQueryCounter:
+    """Counting proxy over a ``ConsistencyModel``: tallies
+    ``atomic_lazy_ready`` queries and forwards everything else."""
+
+    def __init__(self, model) -> None:
+        self._model = model
+        self.queries = 0
+
+    def atomic_lazy_ready(self, dyn, lq, sb) -> bool:
+        self.queries += 1
+        return self._model.atomic_lazy_ready(dyn, lq, sb)
+
+    def __getattr__(self, name):
+        return getattr(self._model, name)
+
+
+def run_counting_lazy_queries(params: SystemParams, program):
+    """``simulate(params, program)`` with every core's consistency model
+    behind one :class:`_LazyQueryCounter`; returns ``(result, queries)``."""
+    sim = MulticoreSimulator(params, program)
+    counter = _LazyQueryCounter(sim.cores[0].consistency)
+    for core in sim.cores:
+        core.consistency = counter
+    return sim.run(), counter.queries
+
+
 def _check_perf_smoke() -> int:
     """Perf smoke gate: the quiescence-aware spine must skip most
-    core-steps on a canned idle-heavy workload.
+    core-steps on a canned idle-heavy workload, and releasing parked lazy
+    atomics must cost at most one readiness query per core pump.
 
     Counter-based on purpose — the gate reads the scheduler's own
-    step/skip counters (``RunResult.spine``), never wall-clock, so CI
-    load cannot flake it.  The floor is far below the typical measured
-    ratio (~0.85+) to leave headroom for workload-generator drift.
+    step/skip counters (``RunResult.spine``) and a counted proxy, never
+    wall-clock, so CI load cannot flake it.  The floor is far below the
+    typical measured ratio (~0.85+) to leave headroom for
+    workload-generator drift.
     """
     from repro.workloads.litmus import atomic_counter
 
     floor = 0.60
     params = SystemParams.quick().with_atomic_mode(AtomicMode.LAZY)
     program = atomic_counter(params.num_cores, 40)
-    result = simulate(params, program)
+    result, lazy_queries = run_counting_lazy_queries(params, program)
     spine = result.spine
     frac = spine["skipped_fraction"]
     print(
@@ -369,6 +397,19 @@ def _check_perf_smoke() -> int:
         print(
             "perf smoke gate failed: the event pump burned passes on"
             " cycles with nothing due"
+        )
+        return 1
+    # The lazy pump asks the consistency model about the load-queue head
+    # only; a walk over the whole parking lot reads ~6 per pump here.
+    pumps = spine["step_calls"]
+    print(
+        f"lazy readiness: {lazy_queries:,} queries over {pumps:,} core pumps"
+        " (required: at most 1 per pump)"
+    )
+    if lazy_queries > pumps:
+        print(
+            "perf smoke gate failed: the lazy pump asked atomic_lazy_ready"
+            " about more than the load-queue head"
         )
         return 1
     return 0

@@ -26,10 +26,15 @@ oracle  :class:`OraclePolicy`   profile-guided: lazy iff the PC is in
 Policies touch memory only through :class:`~repro.core.ports.MemoryPort`
 and keep all line-lock bookkeeping inside the
 :class:`~repro.core.lsq.LoadStoreUnit` (``lock_line`` / ``unlock_line``),
-so the lock table has exactly one home.  ``truth_by_pc`` accumulates the
-simulator-omniscient per-PC contention ground truth every policy observes
-at unlock; :mod:`repro.analysis.ablations` reads it to build the oracle
-PC set for two-pass experiments.
+so the lock table has exactly one home.  Releasing a parked lazy atomic
+costs one :meth:`ConsistencyModel.atomic_lazy_ready
+<repro.core.consistency.ConsistencyModel.atomic_lazy_ready>` query per
+core pump — about the load-queue head only, which that predicate's
+contract makes sufficient — and ``lazy_waiting`` is an unordered parking
+lot (atomics park in issue order, not program order).  ``truth_by_pc``
+accumulates the simulator-omniscient per-PC contention ground truth every
+policy observes at unlock; :mod:`repro.analysis.ablations` reads it to
+build the oracle PC set for two-pass experiments.
 """
 
 from __future__ import annotations
@@ -144,23 +149,28 @@ class AtomicPolicyBase:
         raise NotImplementedError
 
     def pump(self, now: int, budget: int) -> tuple[int, bool]:
-        """Issue lazy atomics whose turn arrived (list is in program
-        order).  Returns the remaining budget and whether work happened."""
-        if not self.lazy_waiting:
+        """Release the load-queue head if it is a parked lazy atomic whose
+        turn arrived: one :meth:`lazy_ready` query per pump, however many
+        atomics are parked.  Returns the remaining budget and whether
+        work happened.
+
+        Sound because ``atomic_lazy_ready`` is True only for the LQ head
+        (the :class:`~repro.core.consistency.ConsistencyModel` contract),
+        so no other parked atomic can be ready and ``lazy_waiting`` needs
+        no order.  The sanitizer's ``lazy-release-order`` checker still
+        walks the whole lot to catch a model that breaks the contract.
+        """
+        if not (budget and self.lazy_waiting):
             return budget, False
-        worked = False
-        still_waiting = []
-        for dyn in self.lazy_waiting:
-            if dyn.squashed:
-                continue
-            if budget and self.lazy_ready(dyn):
-                self.issue_full(dyn, now)
-                budget -= 1
-                worked = True
-            else:
-                still_waiting.append(dyn)
-        self.lazy_waiting = still_waiting
-        return budget, worked
+        # A parked atomic holds an LQ entry, so the LQ is not empty.
+        # Parked == went through first_issue (both parking paths set
+        # addr_pass_done) and has not been through issue_full since.
+        head = self.lsq.lq[0]
+        if not head.addr_pass_done or head.issued or not self.lazy_ready(head):
+            return budget, False
+        self.lazy_waiting.remove(head)
+        self.issue_full(head, now)
+        return budget - 1, True
 
     def lazy_ready(self, dyn: DynInstr) -> bool:
         """Is the parked lazy atomic's turn up?  The consistency model

@@ -113,7 +113,17 @@ class ConsistencyModel:
         lq: "deque[DynInstr]",
         sb: "deque[DynInstr]",
     ) -> bool:
-        """May a parked lazy atomic leave the parking lot and issue?"""
+        """May a parked lazy atomic leave the parking lot and issue?
+
+        **Contract: True only for the load-queue head** (``lq[0] is
+        dyn``) — a lazy atomic is by definition the oldest memory
+        instruction when it starts.  The policy relies on it: its pump
+        asks about the LQ head alone, so an override that answered True
+        for any other parked atomic would never see it released.  Both
+        shipped models satisfy it, a third must; a hypothesis property
+        over every registered model and the sanitizer's
+        ``lazy-release-order`` checker enforce it.
+        """
         raise NotImplementedError
 
     def atomic_commit_ready(

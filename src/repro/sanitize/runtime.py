@@ -26,6 +26,11 @@ Checked invariants (all individually switchable via
 ``data-value``       at unlock, the memory image holds exactly the value
                      the atomic computed (the dirty result was not
                      clobbered on its way to memory).
+``lazy-release-order`` before each lazy pump, every parked lazy atomic
+                     that passes ``atomic_lazy_ready`` is the load-queue
+                     head — the contract that lets the pump ask about the
+                     head alone (this checker is the full walk the pump
+                     used to do; see docs/performance.md, experiment 2).
 ``missed-wake``      after a coherence message is delivered to a private
                      cache controller, the owning core must be awake (or
                      done) — the invariant that makes quiescence-aware
@@ -64,6 +69,7 @@ class SanitizerConfig:
     blocked_liveness: bool = True
     rmw_atomicity: bool = True
     data_value: bool = True
+    lazy_release_order: bool = True
     missed_wake: bool = True
     # A directory entry blocked longer than this (within one transaction)
     # is reported as a liveness violation.  Must comfortably exceed the
@@ -266,6 +272,15 @@ class SanitizerHarness:
             core.policy.try_compute = try_compute  # type: ignore[method-assign]
             core.policy.unlock = unlock  # type: ignore[method-assign]
 
+        if cfg.lazy_release_order:
+            orig_pump = core.policy.pump
+
+            def pump(now: int, budget: int, _orig=orig_pump, _core=core):
+                self.check_lazy_release_order(_core)
+                return _orig(now, budget)
+
+            core.policy.pump = pump  # type: ignore[method-assign]
+
     # ------------------------------------------------------------------
     # Checkers (callable directly; the wrappers above route into these)
     # ------------------------------------------------------------------
@@ -435,6 +450,28 @@ class SanitizerHarness:
                 f"intervening write(s) between its read and write halves",
                 line,
             )
+
+    def check_lazy_release_order(self, core: "Core") -> None:
+        """Only the load-queue head may pass ``atomic_lazy_ready``.
+
+        ``AtomicPolicyBase.pump`` asks the consistency model about the LQ
+        head alone; this is the walk over the whole parking lot it
+        replaced.  A parked atomic that is ready without being the head
+        means the model broke the head-only contract and the pump would
+        silently never release it.
+        """
+        self._count("lazy-release-order")
+        policy = core.policy
+        lq = core.lsq.lq
+        for dyn in policy.lazy_waiting:
+            if policy.lazy_ready(dyn) and not (lq and lq[0] is dyn):
+                self._violation(
+                    "lazy-release-order",
+                    f"core {core.core_id} parked atomic seq {dyn.seq} passes "
+                    f"{core.consistency.name}.atomic_lazy_ready but is not "
+                    f"the load-queue head, so the head-only pump skips it",
+                    dyn.line,
+                )
 
     def check_missed_wake(self, core: "Core", msg: Message) -> None:
         """A delivered message must leave the owning core awake (or done).

@@ -3,9 +3,12 @@
 from collections import deque
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.common.params import ConsistencyKind, SystemParams
 from repro.core.consistency import (
+    _MODEL_BY_KIND,
     ConsistencyModel,
     RelaxedModel,
     TSOModel,
@@ -130,6 +133,42 @@ class TestAtomicRules:
         assert RELAXED.atomic_lazy_ready(rmw, lq, deque([other_line, rmw]))
         assert not RELAXED.atomic_lazy_ready(rmw, lq, deque([same_line, rmw]))
         assert not RELAXED.atomic_lazy_ready(rmw, deque(), deque([rmw]))
+
+    @pytest.mark.parametrize(
+        "model", list(_MODEL_BY_KIND.values()), ids=lambda m: m.name
+    )
+    @given(
+        window=st.lists(
+            st.tuples(
+                st.sampled_from(["load", "store", "atomic"]),
+                st.integers(0, 3),  # line
+                st.booleans(),  # still in the LQ (loads, atomics)
+                st.booleans(),  # still in the SB (stores, atomics)
+            ),
+            max_size=8,
+        )
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_lazy_ready_only_for_the_lq_head(self, model, window):
+        """The contract the policy's head-only pump rests on: whatever
+        the queues hold, a model says "ready" only about ``lq[0]``."""
+        make = {
+            "load": lambda seq, addr: load(seq, pc=0x10, addr=addr),
+            "store": lambda seq, addr: store(seq, pc=0x20, addr=addr, value=1),
+            "atomic": lambda seq, addr: atomic(seq, pc=0x30, addr=addr),
+        }
+        lq, sb, atomics = deque(), deque(), []
+        for seq, (kind, line, in_lq, in_sb) in enumerate(window):
+            d = dyn(make[kind](seq, line * LINE_BYTES), uid=seq)
+            if kind != "store" and in_lq:
+                lq.append(d)
+            if kind != "load" and in_sb:
+                sb.append(d)
+            if kind == "atomic":
+                atomics.append(d)
+        for d in atomics:
+            if model.atomic_lazy_ready(d, lq, sb):
+                assert lq and lq[0] is d
 
 
 class TestFenceRule:

@@ -83,6 +83,10 @@ class TestFlushLazyAtomic:
         res = sim.run()
         assert fired, "the lazy atomic never parked — test premise broken"
         assert core.stats.counter("flushes").value == 1
+        # The squashed parked head left the parking lot with the flush and
+        # was never issued; only its refetched copy was.
+        assert fired[0].squashed and not fired[0].issued
+        assert core.stats.counter("atomics_issued").value == 1
         # The squashed-and-replayed FAA applied exactly once.
         assert res.memory_snapshot.get(640) == 1
         assert core.stats.counter("atomics_committed").value == 1
