@@ -445,12 +445,7 @@ def _check_campaigns() -> int:
             campaign = schema.load_campaign(path)
             if campaign.output.kind != "none":
                 outputs[path.stem] = campaign.output.id
-            if campaign.kind == "microbench":
-                jobs += len(planner.expand_microbench(campaign))
-            elif campaign.kind == "litmus":
-                jobs += len(planner.expand_litmus(campaign))
-            else:
-                jobs += len(planner.expand_campaign(campaign))
+            jobs += len(planner.campaign_jobs(campaign))
         except schema.CampaignError as exc:
             print(f"campaign gate failed: {path.name}: {exc}")
             return 1
@@ -716,12 +711,7 @@ def cmd_campaign(args) -> int:
         for path in args.specs:
             try:
                 campaign = schema.load_campaign(path)
-                if campaign.kind == "microbench":
-                    jobs = len(planner.expand_microbench(campaign))
-                elif campaign.kind == "litmus":
-                    jobs = len(planner.expand_litmus(campaign))
-                else:
-                    jobs = len(planner.expand_campaign(campaign))
+                jobs = len(planner.campaign_jobs(campaign))
             except schema.CampaignError as exc:
                 raise UsageError(str(exc)) from exc
             rows.append([path, campaign.name, campaign.kind, jobs])

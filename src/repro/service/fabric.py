@@ -35,7 +35,13 @@ from repro.service.planner import (
     campaign_scale,
     iter_cells,
 )
-from repro.service.schema import Campaign, CampaignError, parse_campaign
+from repro.service.schema import (
+    Campaign,
+    CampaignError,
+    campaign_payload,
+    parse_campaign,
+    to_payload,
+)
 
 #: Campaign lifecycle states.  "queued" and "running" are the resumable
 #: ones; a restarted pool requeues them.
@@ -78,7 +84,7 @@ class CampaignRun:
         if self.error is not None:
             out["error"] = self.error
         if self.campaign.output.kind != "none":
-            out["output"] = self.campaign.output.to_dict()
+            out["output"] = to_payload(self.campaign.output)
         return out
 
     def wait(self, timeout: float | None = None) -> bool:
@@ -324,7 +330,7 @@ class ShardPool:
                     "scale": run.scale.name,
                     "completed": run.completed,
                     "simulated": run.simulated,
-                    "campaign": run.campaign.to_dict(),
+                    "campaign": campaign_payload(run.campaign),
                 },
                 sort_keys=True,
                 allow_nan=False,

@@ -38,6 +38,7 @@ from repro.service.schema import (
     ConfigSpec,
     GridSpec,
     WorkloadSpec,
+    campaign_payload,
 )
 from repro.workloads.profiles import WorkloadProfile, get_profile
 
@@ -323,6 +324,18 @@ def expand_litmus(campaign: Campaign) -> list[LitmusJob]:
     return jobs
 
 
+def campaign_jobs(
+    campaign: Campaign, scale: ExperimentScale | str | None = None
+) -> list:
+    """The unique jobs of a campaign of any kind: its ``RunSpec`` grid,
+    its microbenchmark points or its litmus points."""
+    if campaign.kind == "microbench":
+        return expand_microbench(campaign, scale)
+    if campaign.kind == "litmus":
+        return expand_litmus(campaign)
+    return expand_campaign(campaign, scale)
+
+
 # ---------------------------------------------------------------------------
 # Identity
 # ---------------------------------------------------------------------------
@@ -340,7 +353,7 @@ def campaign_id(
         {
             "schema": CAMPAIGN_SCHEMA_VERSION,
             "scale": resolved_scale.name,
-            "campaign": campaign.to_dict(),
+            "campaign": campaign_payload(campaign),
         },
         sort_keys=True,
         allow_nan=False,

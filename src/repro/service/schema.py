@@ -4,57 +4,42 @@ A *campaign* names a whole experiment — the (workload × config × seed)
 grid behind one figure family, ablation or sweep — plus an output
 directive saying what to render from it.  The same spec file drives the
 offline ``repro campaign run`` path, the ``repro serve`` HTTP service and
-the figure functions themselves (each ``figureN`` loads its committed
-spec from ``campaigns/``), so CI, notebooks and the service all expand
-exactly the same grid.
+the table registry (each table loads its committed spec from
+``campaigns/``), so CI, notebooks and the service all expand exactly the
+same grid.
 
-Grammar (YAML or JSON; YAML requires the optional ``pyyaml``)::
+The grammar is data.  Each record — :class:`Campaign`, :class:`GridSpec`,
+:class:`WorkloadSpec`, :class:`ConfigSpec`, :class:`OutputSpec` — is a
+frozen dataclass whose ``FIELDS`` table lists its document keys, the
+checker that turns each decoded value into the attribute value, and
+which keys are required or belong to one campaign ``kind`` only.  Two
+walks serve every record: :func:`parse_record` (decoded document →
+record, strict) and :func:`to_payload` (record → canonical plain data,
+its inverse: a key is written only when it differs from the record's
+default).  :func:`describe_grammar` renders the tables for
+``docs/service.md``.  Two rules sit outside the tables, in
+:func:`parse_campaign`: the ``campaign:`` version key, and the top-level
+``workloads``/``configs``/``seeds``/``num_threads``/
+``instructions_per_thread`` sugar for a single-grid campaign.
 
-    campaign: 1                # required: CAMPAIGN_SCHEMA_VERSION
-    name: fig1
-    description: ...
-    scale: quick               # default scale; CLI --scale overrides
-    base: scale                # base params: scale|quick|small|paper
-    workloads: [canneal, ...]  # sugar for a single grid, or:
-    configs:
-      - {name: eager, mode: eager}
-      - {name: lazy, mode: lazy}
-    grids:                     # explicit multi-grid form
-      - workloads: [...]
-        configs: [...]
-        seeds: [0, 1]          # optional, non-empty; default: the scale's
-        num_threads: 8         # optional; default: the scale's
-        instructions_per_thread: 4000
-    output: {kind: figure, id: fig1}
-
-A config entry accepts ``mode`` (required), ``detection``, ``predictor``,
-``forwarding``, ``latency_threshold`` (``null`` = +inf), ``consistency``
-(a :class:`~repro.common.params.ConsistencyKind` name — ``tso`` or
-``relaxed``), plus raw ``params:`` / ``row:`` field overrides for
-ablation sweeps.  A workload entry is either a profile name or
-``{base, name, overrides}``.  The ``kind: microbench`` variant (Fig. 2)
-swaps grids for ``machines``/``ops``/``variants``/``iterations`` axes;
-``kind: litmus`` swaps them for ``programs``/``models`` axes validated
-against the litmus registry and the consistency models (it runs through
-the interleaving oracle, not the RunSpec grid).
-
-Parsing is strict: unknown fields and a wrong ``campaign:`` version are
-:class:`CampaignError`\\ s (the CLI maps them to exit code 2), never
-silently ignored — a typo'd axis must not silently shrink a grid.
-
-This module deliberately imports nothing from :mod:`repro.analysis` at
-module level (the figure functions import the service layer, so an eager
-import here would be circular); scale names are validated lazily.
+Parsing is strict: unknown fields, wrong types and a wrong ``campaign:``
+version are :class:`CampaignError`\\ s naming the path of the offending
+value (``<file>.grids[0].configs[2].mode: unknown atomic mode ...``; the
+CLI maps them to exit code 2), never silently ignored — a typo'd axis
+must not silently shrink a grid.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
 import os
 import pathlib
 from dataclasses import dataclass, field
+from typing import Callable, ClassVar
 
+from repro.analysis.runner import scale_by_name
 from repro.common.params import (
     AtomicMode,
     ConsistencyKind,
@@ -65,6 +50,7 @@ from repro.common.params import (
 )
 from repro.common.schema import CAMPAIGN_SCHEMA_VERSION
 from repro.isa.instructions import AtomicOp
+from repro.workloads.litmus_oracle import LITMUS_TESTS
 from repro.workloads.microbench import VARIANTS as MICROBENCH_VARIANTS
 from repro.workloads.profiles import WORKLOADS, WorkloadProfile
 
@@ -85,10 +71,11 @@ UNSET = "default"
 MACHINES: tuple[str, ...] = ("old-x86", "new-x86")
 BASE_PRESETS: tuple[str, ...] = ("scale", "quick", "small", "paper")
 OUTPUT_KINDS: tuple[str, ...] = ("none", "figure", "ablation")
+CAMPAIGN_KINDS: tuple[str, ...] = ("grid", "microbench", "litmus")
 
 # atomic_mode/row have dedicated config keys; consistency_model has the
-# ``consistency`` key (so it goes through ConsistencyKind.from_name, not
-# a raw-string dataclass replace).
+# ``consistency`` key (so it goes through the model registry, not a
+# raw-string dataclass replace).
 _PARAM_FIELDS = frozenset(
     f.name for f in dataclasses.fields(SystemParams)
 ) - {"atomic_mode", "row", "consistency_model"}
@@ -97,36 +84,217 @@ _PROFILE_FIELDS = frozenset(
     f.name for f in dataclasses.fields(WorkloadProfile)
 ) - {"name"}
 
+#: ``check(value, where) -> attribute value``; raises :class:`CampaignError`.
+#: Every checker carries a ``doc`` string naming what it accepts.
+Check = Callable[[object, str], object]
+
+
+# ---------------------------------------------------------------------------
+# Value checkers
+# ---------------------------------------------------------------------------
+
+
+def _documented(doc: str):
+    def attach(check):
+        check.doc = doc
+        return check
+
+    return attach
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _typed(noun: str, ok: Callable[[object], bool], convert=None) -> Check:
+    """A scalar that ``ok`` accepts, called ``noun`` in errors and docs."""
+
+    @_documented(noun)
+    def check(value, where: str):
+        if not ok(value):
+            raise CampaignError(f"{where} must be {noun}")
+        return value if convert is None else convert(value)
+
+    return check
+
+
+text = _typed(
+    "a string",
+    lambda v: isinstance(v, (str, int, float)) and not isinstance(v, bool),
+    str,
+)
+flag = _typed("true or false", lambda v: isinstance(v, bool))
+integer = _typed("an integer", _is_int)
+count = _typed("a positive integer", lambda v: _is_int(v) and v > 0)
+int_or_null = _typed("an integer or null (+inf)", lambda v: v is None or _is_int(v))
+
+
+def one_of(what: str, choices) -> Check:
+    """A string naming one of ``choices``."""
+    choices = tuple(choices)
+
+    @_documented("one of " + " \\| ".join(f"`{c}`" for c in choices))
+    def check(value, where: str) -> str:
+        if value not in choices:
+            raise CampaignError(
+                f"{where}: unknown {what} {value!r} (valid: {', '.join(choices)})"
+            )
+        return value
+
+    return check
+
+
+def seq(item: Check, unique: str | None = None) -> Check:
+    """A non-empty list of ``item``s, as a tuple; with ``unique``, no two
+    items may share that attribute."""
+
+    @_documented(f"non-empty list, each {item.doc}")
+    def check(value, where: str) -> tuple:
+        if not isinstance(value, (list, tuple)) or not value:
+            raise CampaignError(f"{where} must be a non-empty list")
+        out = tuple(item(v, f"{where}[{i}]") for i, v in enumerate(value))
+        if unique is not None:
+            keys = [getattr(v, unique) for v in out]
+            dupes = sorted({k for k in keys if keys.count(k) > 1})
+            if dupes:
+                raise CampaignError(
+                    f"{where}: duplicate {unique}(s) {', '.join(dupes)}"
+                )
+        return out
+
+    return check
+
 
 def _freeze(value):
     """YAML lists become tuples so resolved params/profiles stay hashable."""
-    if isinstance(value, list):
+    if isinstance(value, (list, tuple)):
         return tuple(_freeze(v) for v in value)
     return value
 
 
-def _check_keys(payload: dict, allowed: tuple[str, ...], where: str) -> None:
-    unknown = sorted(set(payload) - set(allowed))
+def _mapping(value, where: str) -> dict:
+    if not isinstance(value, dict):
+        raise CampaignError(f"{where} must be a mapping")
+    return value
+
+
+def _reject_unknown(payload: dict, allowed, where: str, list_allowed=True):
+    unknown = sorted(str(k) for k in payload if k not in allowed)
     if unknown:
+        hint = f"; allowed: {', '.join(allowed)}" if list_allowed else ""
+        raise CampaignError(f"{where}: unknown field(s) {', '.join(unknown)}{hint}")
+
+
+def override_map(target: str, allowed: frozenset) -> Check:
+    """A mapping of ``target`` field names to raw values (frozen)."""
+
+    @_documented(f"a mapping of {target} field → value")
+    def check(value, where: str) -> dict:
+        _reject_unknown(_mapping(value, where), allowed, where, list_allowed=False)
+        return {key: _freeze(v) for key, v in value.items()}
+
+    return check
+
+
+@_documented("an experiment scale name")
+def scale_name(value, where: str) -> str:
+    try:
+        return scale_by_name(text(value, where)).name
+    except ValueError as exc:
+        raise CampaignError(f"{where}: {exc}") from None
+
+
+@_documented("an integer, or a mapping of scale name → integer")
+def int_or_per_scale(value, where: str):
+    if isinstance(value, dict):
+        return {
+            scale_name(k, where): integer(v, f"{where}.{k}")
+            for k, v in value.items()
+        }
+    if not _is_int(value):
         raise CampaignError(
-            f"{where}: unknown field(s) {', '.join(unknown)};"
-            f" allowed: {', '.join(allowed)}"
+            f"{where} must be an integer or a per-scale mapping"
         )
+    return value
 
 
-def _require(payload: dict, key: str, where: str):
-    if key not in payload:
-        raise CampaignError(f"{where}: missing required field {key!r}")
-    return payload[key]
+def record(cls) -> Check:
+    """A nested record, parsed by :func:`parse_record`."""
+    article = "an" if cls.__name__[0] in "AEIOU" else "a"
+    shorthand = f", or a bare `{cls.SHORTHAND}`" if cls.SHORTHAND else ""
+
+    @_documented(f"{article} {cls.__name__}{shorthand}")
+    def check(value, where: str):
+        return parse_record(cls, value, where)
+
+    return check
 
 
 # ---------------------------------------------------------------------------
-# Model
+# Field tables
 # ---------------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
-class ConfigSpec:
+class Field:
+    """One document key of a record.
+
+    ``key`` is also the record attribute; ``check`` turns the decoded
+    value into the attribute value.  ``kinds`` limits the key to those
+    campaign kinds (and then ``required`` holds only there); ``absent``
+    supplies the document value assumed when an optional key is missing
+    (else the record's own default applies, unchecked).
+    """
+
+    key: str
+    check: Check
+    required: bool = False
+    kinds: tuple[str, ...] = ()
+    absent: Callable[[], object] | None = None
+
+
+class Record:
+    """Base of the campaign records: ``FIELDS`` is the record's grammar.
+
+    ``SHORTHAND`` names the key a bare string stands for (so ``fmm`` in a
+    workload list means ``{base: fmm}``, and dumps back that way).
+    Dataclass fields not in ``FIELDS`` are in-memory only: a record that
+    sets one parses from nothing and cannot be dumped.
+    """
+
+    FIELDS: ClassVar[tuple[Field, ...]] = ()
+    SHORTHAND: ClassVar[str | None] = None
+
+    def problem(self) -> str | None:
+        """A cross-field rule the table cannot state; None when it holds."""
+        return None
+
+
+@functools.cache
+def _defaults(cls) -> dict:
+    """``{attribute: default}`` of a record class (read-only, shared)."""
+    out = {}
+    for f in dataclasses.fields(cls):
+        if f.default is not dataclasses.MISSING:
+            out[f.name] = f.default
+        elif f.default_factory is not dataclasses.MISSING:
+            out[f.name] = f.default_factory()
+    return out
+
+
+@functools.cache
+def _in_memory(cls) -> tuple[str, ...]:
+    keys = {f.key for f in cls.FIELDS}
+    return tuple(f.name for f in dataclasses.fields(cls) if f.name not in keys)
+
+
+# ---------------------------------------------------------------------------
+# Records
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class ConfigSpec(Record):
     """One named run configuration (a column of a figure)."""
 
     name: str
@@ -139,27 +307,23 @@ class ConfigSpec:
     params: dict = field(default_factory=dict)  # SystemParams overrides
     row: dict = field(default_factory=dict)  # RowParams overrides
 
-    def to_dict(self) -> dict:
-        out: dict = {"name": self.name, "mode": self.mode}
-        if self.detection is not None:
-            out["detection"] = self.detection
-        if self.predictor is not None:
-            out["predictor"] = self.predictor
-        if self.consistency is not None:
-            out["consistency"] = self.consistency
-        if self.forwarding:
-            out["forwarding"] = True
-        if self.latency_threshold != UNSET:
-            out["latency_threshold"] = self.latency_threshold
-        if self.params:
-            out["params"] = dict(sorted(self.params.items()))
-        if self.row:
-            out["row"] = dict(sorted(self.row.items()))
-        return out
+    FIELDS = (
+        Field("name", text, required=True),
+        Field("mode", one_of("atomic mode", (m.value for m in AtomicMode)),
+              required=True),
+        Field("detection", one_of("detection", (d.value for d in DetectionMode))),
+        Field("predictor", one_of("predictor", (p.value for p in PredictorKind))),
+        Field("consistency",
+              one_of("consistency model", (k.value for k in ConsistencyKind))),
+        Field("forwarding", flag),
+        Field("latency_threshold", int_or_null),
+        Field("params", override_map("SystemParams", _PARAM_FIELDS)),
+        Field("row", override_map("RowParams", _ROW_FIELDS)),
+    )
 
 
 @dataclass(frozen=True)
-class WorkloadSpec:
+class WorkloadSpec(Record):
     """A workload axis entry: a profile name, optionally renamed/overridden.
 
     ``profile`` carries an in-memory :class:`WorkloadProfile` literal for
@@ -172,30 +336,22 @@ class WorkloadSpec:
     overrides: dict = field(default_factory=dict)
     profile: WorkloadProfile | None = None
 
+    FIELDS = (
+        Field("base", one_of("workload", WORKLOADS), required=True),
+        Field("name", text),
+        Field("overrides", override_map("WorkloadProfile", _PROFILE_FIELDS)),
+    )
+    SHORTHAND = "base"
+
     @property
     def label(self) -> str:
         if self.profile is not None:
             return self.profile.name
         return self.name if self.name is not None else self.base
 
-    def to_dict(self):
-        if self.profile is not None:
-            raise CampaignError(
-                f"workload {self.label!r} wraps an in-memory profile and"
-                " cannot be serialized; use base/overrides instead"
-            )
-        if self.name is None and not self.overrides:
-            return self.base
-        out: dict = {"base": self.base}
-        if self.name is not None:
-            out["name"] = self.name
-        if self.overrides:
-            out["overrides"] = dict(sorted(self.overrides.items()))
-        return out
-
 
 @dataclass(frozen=True)
-class GridSpec:
+class GridSpec(Record):
     """One (workloads × configs × seeds) block of a campaign."""
 
     workloads: tuple[WorkloadSpec, ...]
@@ -204,36 +360,35 @@ class GridSpec:
     num_threads: int | None = None
     instructions_per_thread: int | None = None
 
-    def to_dict(self) -> dict:
-        out: dict = {
-            "workloads": [w.to_dict() for w in self.workloads],
-            "configs": [c.to_dict() for c in self.configs],
-        }
-        if self.seeds is not None:
-            out["seeds"] = list(self.seeds)
-        if self.num_threads is not None:
-            out["num_threads"] = self.num_threads
-        if self.instructions_per_thread is not None:
-            out["instructions_per_thread"] = self.instructions_per_thread
-        return out
+    FIELDS = (
+        Field("workloads", seq(record(WorkloadSpec)), required=True),
+        Field("configs", seq(record(ConfigSpec), unique="name"), required=True),
+        Field("seeds", seq(integer)),
+        Field("num_threads", count),
+        Field("instructions_per_thread", count),
+    )
 
 
 @dataclass(frozen=True)
-class OutputSpec:
+class OutputSpec(Record):
     """What to render once the grid is in the cache."""
 
     kind: str = "none"
     id: str | None = None
 
-    def to_dict(self) -> dict:
-        out: dict = {"kind": self.kind}
-        if self.id is not None:
-            out["id"] = self.id
-        return out
+    FIELDS = (
+        Field("kind", one_of("output kind", OUTPUT_KINDS)),
+        Field("id", text),
+    )
+
+    def problem(self) -> str | None:
+        if self.kind != "none" and self.id is None:
+            return f"output kind {self.kind!r} requires an id"
+        return None
 
 
 @dataclass(frozen=True)
-class Campaign:
+class Campaign(Record):
     """A parsed, validated campaign spec."""
 
     name: str
@@ -251,6 +406,28 @@ class Campaign:
     programs: tuple[str, ...] = ()
     models: tuple[str, ...] = ()
     output: OutputSpec = field(default_factory=OutputSpec)
+
+    FIELDS = (
+        Field("name", text, required=True),
+        Field("description", text),
+        Field("kind", one_of("campaign kind", CAMPAIGN_KINDS)),
+        Field("scale", scale_name),
+        Field("base", one_of("base", BASE_PRESETS)),
+        Field("grids", seq(record(GridSpec)), required=True, kinds=("grid",)),
+        Field("machines", seq(one_of("machine", MACHINES)), required=True,
+              kinds=("microbench",)),
+        Field("ops", seq(one_of("op", (o.value for o in AtomicOp))),
+              required=True, kinds=("microbench",)),
+        Field("variants", seq(one_of("variant", MICROBENCH_VARIANTS)),
+              required=True, kinds=("microbench",)),
+        Field("iterations", int_or_per_scale, kinds=("microbench",)),
+        Field("programs", seq(one_of("litmus program", sorted(LITMUS_TESTS))),
+              kinds=("litmus",), absent=lambda: sorted(LITMUS_TESTS)),
+        Field("models",
+              seq(one_of("consistency model", (k.value for k in ConsistencyKind))),
+              kinds=("litmus",), absent=lambda: [k.value for k in ConsistencyKind]),
+        Field("output", record(OutputSpec)),
+    )
 
     # -- programmatic axis overrides (figure kwargs ride through these) --
 
@@ -270,33 +447,10 @@ class Campaign:
         grids[grid] = dataclasses.replace(grids[grid], configs=tuple(configs))
         return dataclasses.replace(self, grids=tuple(grids))
 
-    def to_dict(self) -> dict:
-        out: dict = {
-            "campaign": CAMPAIGN_SCHEMA_VERSION,
-            "name": self.name,
-        }
-        if self.description:
-            out["description"] = self.description
-        if self.kind != "grid":
-            out["kind"] = self.kind
-        if self.scale is not None:
-            out["scale"] = self.scale
-        if self.base != "scale":
-            out["base"] = self.base
-        if self.kind == "microbench":
-            out["machines"] = list(self.machines)
-            out["ops"] = list(self.ops)
-            out["variants"] = list(self.variants)
-            if self.iterations is not None:
-                out["iterations"] = self.iterations
-        elif self.kind == "litmus":
-            out["programs"] = list(self.programs)
-            out["models"] = list(self.models)
-        else:
-            out["grids"] = [g.to_dict() for g in self.grids]
-        if self.output.kind != "none":
-            out["output"] = self.output.to_dict()
-        return out
+
+#: The keys a single-grid campaign may write at top level instead of
+#: under ``grids:``.
+GRID_SUGAR = tuple(f.key for f in GridSpec.FIELDS)
 
 
 def as_workload_spec(workload) -> WorkloadSpec:
@@ -309,396 +463,146 @@ def as_workload_spec(workload) -> WorkloadSpec:
 
 
 # ---------------------------------------------------------------------------
-# Parsing (strict)
+# The two walks
 # ---------------------------------------------------------------------------
 
 
-def _parse_config(payload, where: str) -> ConfigSpec:
-    if not isinstance(payload, dict):
-        raise CampaignError(f"{where}: config entries must be mappings")
-    _check_keys(
-        payload,
-        ("name", "mode", "detection", "predictor", "forwarding",
-         "latency_threshold", "consistency", "params", "row"),
-        where,
-    )
-    name = str(_require(payload, "name", where))
-    mode = str(_require(payload, "mode", where))
-    try:
-        AtomicMode.from_name(mode)
-    except ValueError as exc:
-        raise CampaignError(f"{where}: {exc}") from None
-    detection = payload.get("detection")
-    if detection is not None:
-        try:
-            DetectionMode(detection)
-        except ValueError:
+def parse_record(cls, payload, where: str):
+    """Validate one decoded mapping into a ``cls`` record, strictly."""
+    if cls.SHORTHAND is not None and isinstance(payload, str):
+        payload = {cls.SHORTHAND: payload}
+    _reject_unknown(_mapping(payload, where), [f.key for f in cls.FIELDS], where)
+    values: dict = {}
+    for f in cls.FIELDS:
+        # ``kind`` precedes every kind-limited key in its table.
+        if f.kinds and values.get("kind", _defaults(cls).get("kind")) not in f.kinds:
+            if f.key in payload:
+                raise CampaignError(
+                    f"{where}: {f.key} is only valid for kind:"
+                    f" {' or '.join(f.kinds)}"
+                )
+            continue
+        if f.key in payload:
+            raw = payload[f.key]
+        elif f.required:
+            raise CampaignError(f"{where}: missing required field {f.key!r}")
+        elif f.absent is not None:
+            raw = f.absent()
+        else:
+            continue
+        values[f.key] = f.check(raw, f"{where}.{f.key}")
+    built = cls(**values)
+    problem = built.problem()
+    if problem is not None:
+        raise CampaignError(f"{where}: {problem}")
+    return built
+
+
+def to_payload(value):
+    """The canonical plain-data form of a record (or of a value inside
+    one): the inverse of :func:`parse_record`.  A key is written when it
+    is required or differs from the record's default; mappings are
+    written in key order; tuples become lists."""
+    if value is None or isinstance(value, (str, int, float)):
+        return value
+    if isinstance(value, Record):
+        cls = type(value)
+        defaults = _defaults(cls)
+        in_memory = [
+            name for name in _in_memory(cls) if getattr(value, name) != defaults[name]
+        ]
+        if in_memory:
             raise CampaignError(
-                f"{where}: unknown detection {detection!r}; valid:"
-                f" {', '.join(d.value for d in DetectionMode)}"
-            ) from None
-    predictor = payload.get("predictor")
-    if predictor is not None:
-        try:
-            PredictorKind(predictor)
-        except ValueError:
-            raise CampaignError(
-                f"{where}: unknown predictor {predictor!r}; valid:"
-                f" {', '.join(p.value for p in PredictorKind)}"
-            ) from None
-    consistency = payload.get("consistency")
-    if consistency is not None:
-        consistency = str(consistency)
-        try:
-            ConsistencyKind.from_name(consistency)
-        except ValueError as exc:
-            raise CampaignError(f"{where}: {exc}") from None
-    forwarding = bool(payload.get("forwarding", False))
-    threshold = payload.get("latency_threshold", UNSET)
-    if threshold is not UNSET and not (
-        threshold is None or isinstance(threshold, int)
-    ):
-        raise CampaignError(
-            f"{where}: latency_threshold must be an integer or null"
-        )
-    params = _parse_overrides(
-        payload.get("params", {}), _PARAM_FIELDS, f"{where}.params"
-    )
-    row = _parse_overrides(payload.get("row", {}), _ROW_FIELDS, f"{where}.row")
-    return ConfigSpec(
-        name=name,
-        mode=mode,
-        detection=detection,
-        predictor=predictor,
-        forwarding=forwarding,
-        latency_threshold=threshold,
-        consistency=consistency,
-        params=params,
-        row=row,
-    )
-
-
-def _parse_overrides(payload, valid: frozenset, where: str) -> dict:
-    if not isinstance(payload, dict):
-        raise CampaignError(f"{where}: overrides must be a mapping")
-    unknown = sorted(set(payload) - valid)
-    if unknown:
-        raise CampaignError(
-            f"{where}: unknown override field(s) {', '.join(unknown)}"
-        )
-    return {key: _freeze(value) for key, value in payload.items()}
-
-
-def _parse_workload(payload, where: str) -> WorkloadSpec:
-    if isinstance(payload, str):
-        if payload not in WORKLOADS:
-            raise CampaignError(f"{where}: unknown workload {payload!r}")
-        return WorkloadSpec(base=payload)
-    if not isinstance(payload, dict):
-        raise CampaignError(
-            f"{where}: workload entries must be names or mappings"
-        )
-    _check_keys(payload, ("base", "name", "overrides"), where)
-    base = str(_require(payload, "base", where))
-    if base not in WORKLOADS:
-        raise CampaignError(f"{where}: unknown workload base {base!r}")
-    name = payload.get("name")
-    overrides = _parse_overrides(
-        payload.get("overrides", {}), _PROFILE_FIELDS, f"{where}.overrides"
-    )
-    return WorkloadSpec(
-        base=base, name=None if name is None else str(name), overrides=overrides
-    )
-
-
-def _parse_grid(payload, where: str) -> GridSpec:
-    if not isinstance(payload, dict):
-        raise CampaignError(f"{where}: grid entries must be mappings")
-    _check_keys(
-        payload,
-        ("workloads", "configs", "seeds", "num_threads",
-         "instructions_per_thread"),
-        where,
-    )
-    workloads = _require(payload, "workloads", where)
-    configs = _require(payload, "configs", where)
-    if not isinstance(workloads, list) or not workloads:
-        raise CampaignError(f"{where}: workloads must be a non-empty list")
-    if not isinstance(configs, list) or not configs:
-        raise CampaignError(f"{where}: configs must be a non-empty list")
-    seeds = payload.get("seeds")
-    if seeds is not None:
-        if not isinstance(seeds, list) or not seeds or not all(
-            isinstance(s, int) and not isinstance(s, bool) for s in seeds
-        ):
-            raise CampaignError(
-                f"{where}: seeds must be a non-empty list of integers"
+                f"{cls.__name__} sets in-memory field(s) {', '.join(in_memory)}"
+                " and cannot be serialized"
             )
-        seeds = tuple(seeds)
-    for key in ("num_threads", "instructions_per_thread"):
-        value = payload.get(key)
-        if value is not None and (
-            not isinstance(value, int) or isinstance(value, bool) or value < 1
-        ):
-            raise CampaignError(f"{where}: {key} must be a positive integer")
-    names = [
-        c.get("name") if isinstance(c, dict) else None for c in configs
-    ]
-    dupes = sorted({n for n in names if n is not None and names.count(n) > 1})
-    if dupes:
-        raise CampaignError(
-            f"{where}: duplicate config name(s) {', '.join(dupes)}"
-        )
-    return GridSpec(
-        workloads=tuple(
-            _parse_workload(w, f"{where}.workloads[{i}]")
-            for i, w in enumerate(workloads)
-        ),
-        configs=tuple(
-            _parse_config(c, f"{where}.configs[{i}]")
-            for i, c in enumerate(configs)
-        ),
-        seeds=seeds,
-        num_threads=payload.get("num_threads"),
-        instructions_per_thread=payload.get("instructions_per_thread"),
-    )
-
-
-def _parse_output(payload, where: str) -> OutputSpec:
-    if not isinstance(payload, dict):
-        raise CampaignError(f"{where}: output must be a mapping")
-    _check_keys(payload, ("kind", "id"), where)
-    kind = str(payload.get("kind", "none"))
-    if kind not in OUTPUT_KINDS:
-        raise CampaignError(
-            f"{where}: unknown output kind {kind!r}; valid:"
-            f" {', '.join(OUTPUT_KINDS)}"
-        )
-    out_id = payload.get("id")
-    if kind != "none" and out_id is None:
-        raise CampaignError(f"{where}: output kind {kind!r} requires an id")
-    return OutputSpec(kind=kind, id=None if out_id is None else str(out_id))
-
-
-def _validate_scale_name(name: str, where: str) -> None:
-    # Lazy import: repro.analysis.figures imports this package, so the
-    # scale registry must not be pulled in at module-import time.
-    from repro.analysis.runner import scale_by_name
-
-    try:
-        scale_by_name(name)
-    except ValueError as exc:
-        raise CampaignError(f"{where}: {exc}") from None
+        kind = getattr(value, "kind", None)
+        out = {}
+        for f in cls.FIELDS:
+            if f.kinds and kind not in f.kinds:
+                continue
+            item = getattr(value, f.key)
+            if f.required or item != defaults[f.key]:
+                out[f.key] = to_payload(item)
+        if cls.SHORTHAND is not None and list(out) == [cls.SHORTHAND]:
+            return out[cls.SHORTHAND]
+        return out
+    if isinstance(value, (list, tuple)):
+        return [to_payload(v) for v in value]
+    if isinstance(value, dict):
+        return {k: to_payload(value[k]) for k in sorted(value)}
+    return value
 
 
 def parse_campaign(payload, where: str = "<campaign>") -> Campaign:
     """Validate a decoded YAML/JSON document into a :class:`Campaign`."""
     if not isinstance(payload, dict):
         raise CampaignError(f"{where}: campaign spec must be a mapping")
-    version = _require(payload, "campaign", where)
+    if "campaign" not in payload:
+        raise CampaignError(f"{where}: missing required field 'campaign'")
+    version = payload["campaign"]
     if version != CAMPAIGN_SCHEMA_VERSION:
         raise CampaignError(
             f"{where}: unsupported campaign schema version {version!r}"
             f" (this build speaks version {CAMPAIGN_SCHEMA_VERSION})"
         )
-    _check_keys(
-        payload,
-        ("campaign", "name", "description", "kind", "scale", "base",
-         "workloads", "configs", "seeds", "num_threads",
-         "instructions_per_thread", "grids", "machines", "ops", "variants",
-         "iterations", "programs", "models", "output"),
-        where,
-    )
-    name = str(_require(payload, "name", where))
-    kind = str(payload.get("kind", "grid"))
-    if kind not in ("grid", "microbench", "litmus"):
-        raise CampaignError(
-            f"{where}: unknown campaign kind {kind!r}"
-            " (grid, microbench or litmus)"
-        )
-    scale = payload.get("scale")
-    if scale is not None:
-        scale = str(scale)
-        _validate_scale_name(scale, where)
-    base = str(payload.get("base", "scale"))
-    if base not in BASE_PRESETS:
-        raise CampaignError(
-            f"{where}: unknown base {base!r}; valid: {', '.join(BASE_PRESETS)}"
-        )
-    output = _parse_output(payload.get("output", {"kind": "none"}), f"{where}.output")
-
-    if kind == "microbench":
-        return _parse_microbench(payload, where, name, scale, base, output)
-    if kind == "litmus":
-        return _parse_litmus(payload, where, name, scale, base, output)
-
-    for key in ("machines", "ops", "variants", "iterations"):
-        if key in payload:
+    body = {k: v for k, v in payload.items() if k != "campaign"}
+    sugar = {k: body.pop(k) for k in GRID_SUGAR if k in body}
+    if sugar:
+        if body.get("kind", "grid") != "grid":
             raise CampaignError(
-                f"{where}: {key} is only valid for kind: microbench"
+                f"{where}: {next(iter(sugar))} is only valid for kind: grid"
             )
-    for key in ("programs", "models"):
-        if key in payload:
+        if "grids" in body:
             raise CampaignError(
-                f"{where}: {key} is only valid for kind: litmus"
+                f"{where}: use either top-level"
+                f" {'/'.join(GRID_SUGAR)} or grids:, not both"
             )
-    sugar_keys = (
-        "workloads", "configs", "seeds", "num_threads",
-        "instructions_per_thread",
-    )
-    has_sugar = any(k in payload for k in sugar_keys)
-    if "grids" in payload and has_sugar:
-        raise CampaignError(
-            f"{where}: use either top-level workloads/configs or grids:,"
-            " not both"
-        )
-    if "grids" in payload:
-        grids_payload = payload["grids"]
-        if not isinstance(grids_payload, list) or not grids_payload:
-            raise CampaignError(f"{where}: grids must be a non-empty list")
-        grids = tuple(
-            _parse_grid(g, f"{where}.grids[{i}]")
-            for i, g in enumerate(grids_payload)
-        )
-    elif has_sugar:
-        grids = (
-            _parse_grid(
-                {k: payload[k] for k in sugar_keys if k in payload}, where
-            ),
-        )
-    else:
-        raise CampaignError(
-            f"{where}: a grid campaign needs workloads/configs or grids:"
-        )
-    return Campaign(
-        name=name,
-        description=str(payload.get("description", "")),
-        kind="grid",
-        scale=scale,
-        base=base,
-        grids=grids,
-        output=output,
-    )
+        body["grids"] = [sugar]
+    return parse_record(Campaign, body, where)
 
 
-def _parse_litmus(
-    payload: dict, where: str, name: str, scale, base: str, output: OutputSpec
-) -> Campaign:
-    from repro.workloads.litmus_oracle import LITMUS_TESTS
-
-    for key in ("grids", "workloads", "configs", "seeds", "num_threads",
-                "instructions_per_thread", "machines", "ops", "variants",
-                "iterations"):
-        if key in payload:
-            raise CampaignError(
-                f"{where}: {key} is not valid for kind: litmus"
-            )
-    programs = tuple(
-        str(p) for p in payload.get("programs", sorted(LITMUS_TESTS))
-    )
-    for program in programs:
-        if program not in LITMUS_TESTS:
-            raise CampaignError(
-                f"{where}: unknown litmus program {program!r}; valid:"
-                f" {', '.join(sorted(LITMUS_TESTS))}"
-            )
-    models = tuple(
-        str(m) for m in payload.get(
-            "models", [k.value for k in ConsistencyKind]
-        )
-    )
-    for model in models:
-        try:
-            ConsistencyKind.from_name(model)
-        except ValueError as exc:
-            raise CampaignError(f"{where}: {exc}") from None
-    if not programs or not models:
-        raise CampaignError(f"{where}: programs/models must be non-empty")
-    return Campaign(
-        name=name,
-        description=str(payload.get("description", "")),
-        kind="litmus",
-        scale=scale,
-        base=base,
-        programs=programs,
-        models=models,
-        output=output,
-    )
+def campaign_payload(campaign: Campaign) -> dict:
+    """The canonical document of ``campaign``, version key first."""
+    return {"campaign": CAMPAIGN_SCHEMA_VERSION, **to_payload(campaign)}
 
 
-def _parse_microbench(
-    payload: dict, where: str, name: str, scale, base: str, output: OutputSpec
-) -> Campaign:
-    for key in ("grids", "workloads", "configs", "seeds", "num_threads",
-                "instructions_per_thread", "programs", "models"):
-        if key in payload:
-            raise CampaignError(
-                f"{where}: {key} is not valid for kind: microbench"
-            )
-    machines = tuple(str(m) for m in _require(payload, "machines", where))
-    for machine in machines:
-        if machine not in MACHINES:
-            raise CampaignError(
-                f"{where}: unknown machine {machine!r}; valid:"
-                f" {', '.join(MACHINES)}"
-            )
-    ops = tuple(str(op) for op in _require(payload, "ops", where))
-    for op in ops:
-        try:
-            AtomicOp(op)
-        except ValueError:
-            raise CampaignError(
-                f"{where}: unknown op {op!r}; valid:"
-                f" {', '.join(o.value for o in AtomicOp)}"
-            ) from None
-    variants = tuple(str(v) for v in _require(payload, "variants", where))
-    for variant in variants:
-        if variant not in MICROBENCH_VARIANTS:
-            raise CampaignError(
-                f"{where}: unknown variant {variant!r}; valid:"
-                f" {', '.join(MICROBENCH_VARIANTS)}"
-            )
-    iterations = payload.get("iterations")
-    if isinstance(iterations, dict):
-        for key, value in iterations.items():
-            _validate_scale_name(str(key), f"{where}.iterations")
-            if not isinstance(value, int) or isinstance(value, bool):
-                raise CampaignError(
-                    f"{where}.iterations: {key} must map to an integer"
-                )
-    elif iterations is not None and (
-        not isinstance(iterations, int) or isinstance(iterations, bool)
-    ):
-        raise CampaignError(
-            f"{where}: iterations must be an integer or a per-scale mapping"
-        )
-    if not machines or not ops or not variants:
-        raise CampaignError(
-            f"{where}: machines/ops/variants must be non-empty"
-        )
-    return Campaign(
-        name=name,
-        description=str(payload.get("description", "")),
-        kind="microbench",
-        scale=scale,
-        base=base,
-        machines=machines,
-        ops=ops,
-        variants=variants,
-        iterations=iterations,
-        output=output,
-    )
+def describe_grammar() -> str:
+    """The field tables as Markdown, one table per record."""
+    lines = []
+    for cls in (Campaign, GridSpec, WorkloadSpec, ConfigSpec, OutputSpec):
+        defaults = _defaults(cls)
+        lines += [f"**{cls.__name__}**", "", "| key | value | presence |",
+                  "|-----|-------|----------|"]
+        for f in cls.FIELDS:
+            default = defaults.get(f.key)
+            if f.required:
+                presence = "required"
+            elif f.absent is not None:
+                presence = "default: all"
+            elif isinstance(default, (str, bool, int)) and default != UNSET:
+                presence = f"default `{json.dumps(default)}`"
+            else:
+                presence = "optional"
+            if f.kinds:
+                presence += f"; kind {' or '.join(f.kinds)} only"
+            lines.append(f"| `{f.key}` | {f.check.doc} | {presence} |")
+        lines.append("")
+    return "\n".join(lines)
 
 
 # ---------------------------------------------------------------------------
 # Load / dump
 # ---------------------------------------------------------------------------
 
+if _yaml is not None:  # libyaml's C loader when built, same documents
+    _YAML_LOADER = getattr(_yaml, "CSafeLoader", _yaml.SafeLoader)
+
 
 def _decode(text: str, where: str):
     if _yaml is not None:
         try:
-            return _yaml.safe_load(text)
+            return _yaml.load(text, Loader=_YAML_LOADER)
         except _yaml.YAMLError as exc:
             raise CampaignError(f"{where}: invalid YAML: {exc}") from None
     try:
@@ -725,7 +629,7 @@ def load_campaign(path: str | os.PathLike) -> Campaign:
 
 def dump_campaign(campaign: Campaign, path: str | os.PathLike | None = None) -> str:
     """Serialize a campaign canonically (YAML when available, else JSON)."""
-    payload = campaign.to_dict()
+    payload = campaign_payload(campaign)
     if _yaml is not None:
         text = _yaml.safe_dump(payload, sort_keys=False, default_flow_style=False)
     else:

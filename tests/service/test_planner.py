@@ -210,6 +210,18 @@ class TestMicrobench:
             planner.expand_microbench(campaign, SMOKE)
 
 
+class TestCampaignJobs:
+    def test_dispatches_on_kind(self):
+        from repro.service.schema import load_named_campaign
+
+        grid = loads_campaign(TWO_BY_TWO)
+        assert planner.campaign_jobs(grid, SMOKE) == planner.expand_campaign(grid, SMOKE)
+        fig2 = load_named_campaign("fig2")
+        assert planner.campaign_jobs(fig2, SMOKE) == planner.expand_microbench(fig2, SMOKE)
+        litmus = load_named_campaign("litmus")
+        assert planner.campaign_jobs(litmus) == planner.expand_litmus(litmus)
+
+
 class TestProgrammaticEquivalence:
     def test_yaml_and_programmatic_campaigns_expand_identically(self):
         yaml_campaign = loads_campaign(TWO_BY_TWO)
