@@ -38,6 +38,7 @@ from __future__ import annotations
 
 import heapq
 from collections import deque
+from functools import partial
 from typing import TYPE_CHECKING, Callable
 
 from repro.common.params import SystemParams
@@ -287,7 +288,7 @@ class Core:
             self.emit_instr(dyn, now, "issue")
 
     def schedule_complete(self, dyn: DynInstr, delay: int) -> None:
-        self.engine.schedule_in(max(1, delay), lambda: self.complete(dyn))
+        self.engine.schedule_in(max(1, delay), partial(self.complete, dyn))
 
     def complete(self, dyn: DynInstr) -> None:
         if dyn.squashed or dyn.completed:
@@ -499,10 +500,7 @@ class Core:
                 if tracer is not None:
                     self.emit_instr(dyn, now, "issue")
                 lat = dyn.static.exec_latency
-                schedule(
-                    now + (lat if lat > 1 else 1),
-                    lambda d=dyn: complete(d),
-                )
+                schedule(now + (lat if lat > 1 else 1), partial(complete, dyn))
                 budget -= 1
                 worked = True
             elif action == _ISSUE_STORE:

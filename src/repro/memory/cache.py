@@ -10,13 +10,16 @@ Replacement policies (``CacheParams.replacement``):
 
 * ``LRU``    — classic least-recently-used (the paper's configuration).
 * ``FIFO``   — insertion order, no touch refresh.
-* ``RANDOM`` — deterministic pseudo-random victim (xorshift), useful for
-  replacement-sensitivity studies.
+* ``RANDOM`` — deterministic pseudo-random victim (xorshift seeded from a
+  CRC of the cache name, so every process draws the same sequence),
+  useful for replacement-sensitivity studies.
 * ``SRRIP``  — static re-reference interval prediction (Jaleel et al.,
   ISCA 2010) with 2-bit RRPVs.
 """
 
 from __future__ import annotations
+
+import zlib
 
 from repro.common.params import CacheParams, ReplacementPolicy
 
@@ -33,11 +36,13 @@ class SetAssocCache:
         self.num_sets = params.num_sets
         self.ways = params.ways
         self.policy = params.replacement
-        # Per-set mapping line -> policy metadata (stamp or RRPV).
+        # Per-set mapping line -> RRPV (SRRIP; 0 otherwise).  A set's
+        # iteration order is its recency order: insertion order, and for
+        # LRU a hit re-inserts the line, so the LRU/FIFO victim is the
+        # first unpinned line of the set.
         self._sets: list[dict[int, int]] = [dict() for _ in range(self.num_sets)]
-        self._stamp = 0
         self._pinned: set[int] = set()
-        self._rng_state = 0x9E3779B9 ^ hash(name) & 0xFFFFFFFF or 1
+        self._rng_state = 0x9E3779B9 ^ zlib.crc32(name.encode()) or 1
 
     # ------------------------------------------------------------------
 
@@ -53,8 +58,8 @@ class SetAssocCache:
         if line not in s:
             return False
         if self.policy is ReplacementPolicy.LRU:
-            self._stamp += 1
-            s[line] = self._stamp
+            del s[line]
+            s[line] = 0  # move to the most-recently-used end
         elif self.policy is ReplacementPolicy.SRRIP:
             s[line] = 0  # near-immediate re-reference
         # FIFO and RANDOM ignore hits.
@@ -88,11 +93,7 @@ class SetAssocCache:
                     f"{self.name}: all ways pinned in set {line % self.num_sets}"
                 )
             del s[victim]
-        if self.policy is ReplacementPolicy.SRRIP:
-            s[line] = _SRRIP_INSERT
-        else:
-            self._stamp += 1
-            s[line] = self._stamp
+        s[line] = _SRRIP_INSERT if self.policy is ReplacementPolicy.SRRIP else 0
         return victim
 
     def can_insert(self, line: int) -> bool:
@@ -107,21 +108,20 @@ class SetAssocCache:
     # ------------------------------------------------------------------
 
     def _pick_victim(self, s: dict[int, int]) -> int | None:
-        candidates = [line for line in s if line not in self._pinned]
+        pinned = self._pinned
+        policy = self.policy
+        if policy is ReplacementPolicy.LRU or policy is ReplacementPolicy.FIFO:
+            # Set order is recency order: the oldest unpinned line.
+            for line in s:
+                if line not in pinned:
+                    return line
+            return None
+        candidates = [line for line in s if line not in pinned]
         if not candidates:
             return None
-        if self.policy is ReplacementPolicy.RANDOM:
+        if policy is ReplacementPolicy.RANDOM:
             return candidates[self._next_random() % len(candidates)]
-        if self.policy is ReplacementPolicy.SRRIP:
-            return self._srrip_victim(s, candidates)
-        # LRU and FIFO: smallest stamp (oldest use / oldest insertion).
-        victim = candidates[0]
-        victim_stamp = s[victim]
-        for candidate in candidates[1:]:
-            if s[candidate] < victim_stamp:
-                victim = candidate
-                victim_stamp = s[candidate]
-        return victim
+        return self._srrip_victim(s, candidates)
 
     def _srrip_victim(self, s: dict[int, int], candidates: list[int]) -> int:
         # Age every unpinned line until one reaches the distant-future RRPV.
@@ -133,7 +133,7 @@ class SetAssocCache:
                 s[candidate] += 1
 
     def _next_random(self) -> int:
-        # xorshift32: deterministic, seeded by the cache name.
+        # xorshift32: deterministic, seeded by a CRC of the cache name.
         x = self._rng_state
         x ^= (x << 13) & 0xFFFFFFFF
         x ^= x >> 17

@@ -17,12 +17,13 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
+from functools import partial
 from typing import TYPE_CHECKING, Callable
 
 from repro.common.params import SystemParams
 from repro.common.stats import StatGroup
 from repro.memory.cache import SetAssocCache
-from repro.memory.messages import Message, MsgKind
+from repro.memory.messages import REQUEST_COUNTER, Message, MsgKind
 from repro.memory.prefetcher import IPStridePrefetcher
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -32,7 +33,7 @@ if TYPE_CHECKING:  # pragma: no cover
 AccessCallback = Callable[[int, bool, int], None]
 
 
-@dataclass
+@dataclass(slots=True)
 class Mshr:
     line: int
     need_excl: bool
@@ -79,15 +80,17 @@ class PrivateCacheController:
         self.on_external_observed: Callable[[int, Message], None] = lambda l, m: None
         self.on_invalidation: Callable[[int], None] = lambda line: None
         self.on_amo_resp: Callable[[Message], None] = lambda msg: None
-        # Hot-path hoists for access(): hit latencies are immutable params,
-        # and the three classification counters are bound lazily at the
-        # same first-increment point as the uncached code so counter-dict
+        # Hot-path hoists for access() and _on_data(): hit latencies are
+        # immutable params, and the three classification counters and the
+        # miss-latency accumulator are bound lazily at the same
+        # first-increment point as the uncached code so stat-dict
         # insertion order (serialization identity) is preserved.
         self._l1d_hit_cycles = params.l1d.hit_cycles
         self._l2_hit_cycles = params.l2.hit_cycles
         self._c_l1d_hits = None
         self._c_l2_hits = None
         self._c_l1d_misses = None
+        self._a_miss_latency = None
 
     # ------------------------------------------------------------------
     # CPU-side interface
@@ -146,7 +149,7 @@ class PrivateCacheController:
                     f"for line {line:#x}"
                 )
             ctr.value += 1
-            self.engine.schedule_in(lat, lambda: cb(now + lat, False, lat))
+            self.engine.schedule_in(lat, partial(cb, now + lat, False, lat))
             return
         if is_prefetch and (line in self.mshrs or line in self.wb_buffer):
             return  # drop prefetch; demand stream already covers it
@@ -198,7 +201,7 @@ class PrivateCacheController:
             requestor=self.core_id,
             issued_cycle=now,
         )
-        self.stats.counter(f"requests_{kind.value}").add()
+        self.stats.counter(REQUEST_COUNTER[kind]).add()
         self.engine.send(msg, to_directory=True)
 
     def amo_request(
@@ -278,7 +281,10 @@ class PrivateCacheController:
         self.engine.send(unblock, to_directory=True)
         now = self.engine.now
         latency = now - mshr.issued_cycle
-        self.stats.accumulator("miss_latency").add(latency)
+        acc = self._a_miss_latency
+        if acc is None:
+            acc = self._a_miss_latency = self.stats.accumulator("miss_latency")
+        acc.add(latency)
         if msg.from_private_cache:
             self.stats.counter("fills_from_private").add()
         for cb in mshr.callbacks:

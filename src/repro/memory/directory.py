@@ -15,13 +15,14 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
+from functools import partial
 from typing import TYPE_CHECKING, Callable
 
 from repro.common.params import SystemParams
 from repro.common.stats import StatGroup
 from repro.isa.instructions import apply_atomic
 from repro.memory.cache import SetAssocCache
-from repro.memory.messages import Message, MsgKind
+from repro.memory.messages import REQUEST_COUNTER, Message, MsgKind
 from repro.sanitize.errors import ProtocolInvariantError
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -30,7 +31,7 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.engine import EventEngine
 
 
-@dataclass
+@dataclass(slots=True)
 class DirEntry:
     """Directory state for one cacheline."""
 
@@ -104,7 +105,7 @@ class DirectoryBank:
             e.queue.append(msg)
             self.stats.counter("requests_queued").add()
             return
-        self.stats.counter(f"requests_{msg.kind.value}").add()
+        self.stats.counter(REQUEST_COUNTER[msg.kind]).add()
         if msg.kind is MsgKind.GETS:
             self._do_gets(e, msg)
         elif msg.kind is MsgKind.AMO_REQ:
@@ -135,20 +136,18 @@ class DirectoryBank:
             from_private_cache=False,
             issued_cycle=msg.issued_cycle,
         )
-        self.engine.schedule_in(
-            delay, lambda: self.engine.send(reply, to_directory=False)
-        )
+        self.engine.schedule_in(delay, partial(self.engine.send, reply, False))
 
     def _do_gets(self, e: DirEntry, msg: Message) -> None:
         req = msg.requestor
         if e.state == "I":
             delay = self._llc_fetch_delay(msg.line)
             self._grant_from_llc(msg, exclusive=True, delay=delay)
-            self._block(e, msg.line, lambda: self._become_owner(e, msg.line, req))
+            self._block(e, msg.line, partial(self._become_owner, e, msg.line, req))
         elif e.state == "S":
             delay = self._llc_fetch_delay(msg.line)
             self._grant_from_llc(msg, exclusive=False, delay=delay)
-            self._block(e, msg.line, lambda: self._add_sharer(e, msg.line, req))
+            self._block(e, msg.line, partial(self._add_sharer, e, msg.line, req))
         elif e.state == "M":
             owner = e.owner
             if owner is None:
@@ -163,7 +162,7 @@ class DirectoryBank:
                 # Degenerate re-request (e.g. raced with own writeback).
                 delay = self._llc_fetch_delay(msg.line)
                 self._grant_from_llc(msg, exclusive=True, delay=delay)
-                self._block(e, msg.line, lambda: self._become_owner(e, msg.line, req))
+                self._block(e, msg.line, partial(self._become_owner, e, msg.line, req))
                 return
             fwd = Message(
                 MsgKind.FWD_GETS,
@@ -175,13 +174,11 @@ class DirectoryBank:
             )
             self.stats.counter("fwd_gets").add()
             lookup = self.params.l3_bank.hit_cycles
-            self.engine.schedule_in(
-                lookup, lambda: self.engine.send(fwd, to_directory=False)
-            )
+            self.engine.schedule_in(lookup, partial(self.engine.send, fwd, False))
             # Owner's dirty copy is written back to the LLC on the downgrade.
             self.l3.insert(msg.line)
             self._block(
-                e, msg.line, lambda: self._downgrade_owner(e, msg.line, owner, req)
+                e, msg.line, partial(self._downgrade_owner, e, msg.line, owner, req)
             )
         else:  # pragma: no cover - defensive
             raise RuntimeError(f"GETS in unexpected state {e.state}")
@@ -191,19 +188,17 @@ class DirectoryBank:
         if e.state == "I":
             delay = self._llc_fetch_delay(msg.line)
             self._grant_from_llc(msg, exclusive=True, delay=delay)
-            self._block(e, msg.line, lambda: self._become_owner(e, msg.line, req))
+            self._block(e, msg.line, partial(self._become_owner, e, msg.line, req))
         elif e.state == "S":
             targets = sorted(e.sharers - {req})
             lookup = self.params.l3_bank.hit_cycles
             if not targets:
                 self._grant_from_llc(msg, exclusive=True, delay=lookup)
-                self._block(e, msg.line, lambda: self._become_owner(e, msg.line, req))
+                self._block(e, msg.line, partial(self._become_owner, e, msg.line, req))
                 return
             self.stats.counter("invalidations_sent").add(len(targets))
             e.pending_acks = len(targets)
-            e.on_acks_done = lambda: self._grant_from_llc(
-                msg, exclusive=True, delay=0
-            )
+            e.on_acks_done = partial(self._grant_from_llc, msg, True, 0)
             for sharer in targets:
                 inv = Message(
                     MsgKind.INV,
@@ -213,11 +208,8 @@ class DirectoryBank:
                     requestor=req,
                     issued_cycle=msg.issued_cycle,
                 )
-                self.engine.schedule_in(
-                    lookup,
-                    lambda m=inv: self.engine.send(m, to_directory=False),
-                )
-            self._block(e, msg.line, lambda: self._become_owner(e, msg.line, req))
+                self.engine.schedule_in(lookup, partial(self.engine.send, inv, False))
+            self._block(e, msg.line, partial(self._become_owner, e, msg.line, req))
         elif e.state == "M":
             owner = e.owner
             if owner is None:
@@ -231,7 +223,7 @@ class DirectoryBank:
             if owner == req:
                 delay = self._llc_fetch_delay(msg.line)
                 self._grant_from_llc(msg, exclusive=True, delay=delay)
-                self._block(e, msg.line, lambda: self._become_owner(e, msg.line, req))
+                self._block(e, msg.line, partial(self._become_owner, e, msg.line, req))
                 return
             fwd = Message(
                 MsgKind.FWD_GETX,
@@ -243,10 +235,8 @@ class DirectoryBank:
             )
             self.stats.counter("fwd_getx").add()
             lookup = self.params.l3_bank.hit_cycles
-            self.engine.schedule_in(
-                lookup, lambda: self.engine.send(fwd, to_directory=False)
-            )
-            self._block(e, msg.line, lambda: self._become_owner(e, msg.line, req))
+            self.engine.schedule_in(lookup, partial(self.engine.send, fwd, False))
+            self._block(e, msg.line, partial(self._become_owner, e, msg.line, req))
         else:  # pragma: no cover - defensive
             raise RuntimeError(f"GETX in unexpected state {e.state}")
 
@@ -289,7 +279,7 @@ class DirectoryBank:
 
     def _handle_request_from_queue(self, e: DirEntry) -> None:
         nxt = e.queue.popleft()
-        self.stats.counter(f"requests_{nxt.kind.value}").add()
+        self.stats.counter(REQUEST_COUNTER[nxt.kind]).add()
         if nxt.kind is MsgKind.GETS:
             self._do_gets(e, nxt)
         elif nxt.kind is MsgKind.GETX:
@@ -330,19 +320,19 @@ class DirectoryBank:
         if e.state == "I":
             delay = self._llc_fetch_delay(msg.line)
             self._set_state(e, msg.line, "B")
-            self.engine.schedule_in(delay, lambda: self._finish_amo(e, msg))
+            self.engine.schedule_in(delay, partial(self._finish_amo, e, msg))
         elif e.state == "S":
             targets = sorted(e.sharers)
             if not targets:
                 self._set_state(e, msg.line, "B")
                 self.engine.schedule_in(
                     self.params.l3_bank.hit_cycles,
-                    lambda: self._finish_amo(e, msg),
+                    partial(self._finish_amo, e, msg),
                 )
                 return
             self._set_state(e, msg.line, "B")
             e.pending_acks = len(targets)
-            e.on_acks_done = lambda: self._finish_amo(e, msg)
+            e.on_acks_done = partial(self._finish_amo, e, msg)
             self.stats.counter("invalidations_sent").add(len(targets))
             for sharer in targets:
                 inv = Message(
@@ -355,7 +345,7 @@ class DirectoryBank:
                 )
                 self.engine.schedule_in(
                     self.params.l3_bank.hit_cycles,
-                    lambda m=inv: self.engine.send(m, to_directory=False),
+                    partial(self.engine.send, inv, False),
                 )
         elif e.state == "M":
             owner = e.owner
@@ -369,7 +359,7 @@ class DirectoryBank:
                 )
             self._set_state(e, msg.line, "B")
             e.pending_acks = 1
-            e.on_acks_done = lambda: self._finish_amo(e, msg)
+            e.on_acks_done = partial(self._finish_amo, e, msg)
             inv = Message(
                 MsgKind.INV,
                 msg.line,
@@ -380,7 +370,7 @@ class DirectoryBank:
             )
             self.engine.schedule_in(
                 self.params.l3_bank.hit_cycles,
-                lambda: self.engine.send(inv, to_directory=False),
+                partial(self.engine.send, inv, False),
             )
         else:  # pragma: no cover - defensive
             raise RuntimeError(f"AMO in unexpected state {e.state}")

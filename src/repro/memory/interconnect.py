@@ -18,7 +18,6 @@ Three topologies (``SystemParams.topology``):
 from __future__ import annotations
 
 import math
-from collections import defaultdict
 
 from repro.common.params import NetworkTopology, SystemParams
 from repro.common.stats import StatGroup
@@ -39,8 +38,11 @@ class MeshNetwork:
         self.bandwidth = max(1, params.link_bandwidth)
         self.model_contention = params.model_link_contention
         self.stats = stats if stats is not None else StatGroup("network")
-        # (src_node, dst_node, cycle) -> messages already claiming that link
-        self._link_claims: dict[tuple[int, int, int], int] = defaultdict(int)
+        # One claim table per directed link: cycle -> messages already
+        # claiming the link in that cycle.  ``_route_claims`` memoizes,
+        # per (src, dst), the tables of the route's links in hop order.
+        self._link_claims: dict[tuple[int, int], dict[int, int]] = {}
+        self._route_claims: dict[tuple[int, int], list[dict[int, int]]] = {}
         self._prune_before = 0
         # Topology is static, so routes / hop counts / line->bank homes are
         # pure functions of their arguments: memoized on first use (the
@@ -139,22 +141,29 @@ class MeshNetwork:
             arrival = now + self.hops(src, dst) * self.hop_latency
             latency.add(arrival - now)
             return arrival
+        tables = self._route_claims.get((src, dst))
+        if tables is None:
+            tables = self._route_claims[(src, dst)] = [
+                self._link_claims.setdefault(link, {})
+                for link in self.route(src, dst)
+            ]
         t = now
-        claims = self._link_claims
         bandwidth = self.bandwidth
         hop_latency = self.hop_latency
-        for a, b in self.route(src, dst):
+        for claims in tables:
             # Claim the earliest cycle >= t with spare bandwidth on the link.
             depart = t
-            while claims[(a, b, depart)] >= bandwidth:
+            taken = claims.get(depart, 0)
+            while taken >= bandwidth:
                 depart += 1
+                taken = claims.get(depart, 0)
                 stalls = self._stat_stalls
                 if stalls is None:
                     stalls = self._stat_stalls = self.stats.counter(
                         "link_stall_cycles"
                     )
                 stalls.add()
-            claims[(a, b, depart)] += 1
+            claims[depart] = taken + 1
             t = depart + hop_latency
         latency.add(t - now)
         return t
@@ -163,14 +172,10 @@ class MeshNetwork:
         """Drop link-claim records older than ``before_cycle`` (memory bound)."""
         if before_cycle <= self._prune_before:
             return
-        self._link_claims = defaultdict(
-            int,
-            {
-                key: count
-                for key, count in self._link_claims.items()
-                if key[2] >= before_cycle
-            },
-        )
+        # In place: the memoized route lists hold these same tables.
+        for claims in self._link_claims.values():
+            for cycle in [c for c in claims if c < before_cycle]:
+                del claims[cycle]
         self._prune_before = before_cycle
 
     def bank_of(self, line: int) -> int:

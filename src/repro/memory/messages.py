@@ -40,6 +40,9 @@ class MsgKind(enum.Enum):
 
 REQUEST_KINDS = frozenset({MsgKind.GETS, MsgKind.GETX, MsgKind.PUTM})
 EXTERNAL_KINDS = frozenset({MsgKind.INV, MsgKind.FWD_GETS, MsgKind.FWD_GETX})
+#: Per-kind request counter names (``requests_GetS`` ...), built once so
+#: the message path never formats a string.
+REQUEST_COUNTER = {kind: f"requests_{kind.value}" for kind in MsgKind}
 
 _msg_ids = itertools.count()
 
@@ -74,7 +77,7 @@ class Message:
     amo_addr: int = 0
     amo_old: int = 0
     amo_new: int = 0
-    uid: int = field(default_factory=lambda: next(_msg_ids))
+    uid: int = field(default_factory=_msg_ids.__next__)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

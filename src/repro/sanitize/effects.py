@@ -39,7 +39,10 @@ every universe function with that name; a plain call joins same-named
 module-level functions and explicit ``__init__``s; loading an attribute
 that matches an ``@property`` joins the property body.  Unresolvable
 names (builtins, stdlib, out-of-universe helpers) contribute ``PURE``.
-Nested ``def``s and ``lambda``s fold into their enclosing function.
+Nested ``def``s and ``lambda``s fold into their enclosing function, and
+``partial(f, ...)`` / ``functools.partial(f, ...)`` — a callback bound
+now and called later, typically by the event engine — counts as a call
+of ``f``.
 This is a deliberate over-approximation: it can create false sharing
 between same-named methods, never false cleanliness along resolved
 edges.
@@ -459,6 +462,9 @@ def _classify_region(
                                 f".{method}() on simulation state '{hit}'",
                             ))
                     calls.append(CallSite("method", method, node.lineno))
+                deferred = _partial_target(node)
+                if deferred is not None:
+                    calls.append(deferred)
             # --------------------------------- unordered set iteration
             elif isinstance(node, (ast.For, ast.AsyncFor)):
                 if _iterates_setish(node.iter, ctx):
@@ -486,6 +492,29 @@ def _classify_region(
                         f"reads simulation state '{node.attr}'",
                     ))
     return contribs, calls
+
+
+def _partial_target(call: ast.Call) -> CallSite | None:
+    """The deferred call in ``partial(f, ...)`` / ``functools.partial(f,
+    ...)``, as a call site of ``f``; None for any other call."""
+    func = call.func
+    if isinstance(func, ast.Name):
+        is_partial = func.id == "partial"
+    else:
+        is_partial = (
+            isinstance(func, ast.Attribute)
+            and func.attr == "partial"
+            and isinstance(func.value, ast.Name)
+            and func.value.id == "functools"
+        )
+    if not is_partial or not call.args:
+        return None
+    target = call.args[0]
+    if isinstance(target, ast.Name):
+        return CallSite("plain", target.id, call.lineno)
+    if isinstance(target, ast.Attribute):
+        return CallSite("method", target.attr, call.lineno)
+    return None
 
 
 def _property_loads(nodes: list[ast.AST], names: frozenset[str]) -> list[CallSite]:

@@ -1,8 +1,11 @@
 """Discrete-event spine of the simulator.
 
 Everything with non-unit latency (coherence messages, directory lookups,
-memory fetches, functional-unit completions) is an event on a single
-global heap.  The multicore harness is a pure event pump over this heap:
+memory fetches, functional-unit completions) is an event in a single
+global calendar queue: one FIFO bucket of actions per pending cycle plus
+a min-heap of the distinct pending cycles, so scheduling into a cycle
+that already has events is a list append and the heap only orders
+cycles.  The multicore harness is a pure event pump over this queue:
 it pumps only runnable cores and jumps the clock straight to the next
 event or live core wake whenever nothing is runnable — clamped to the
 caller's cycle budget — which is what makes a pure-Python timing model
@@ -13,7 +16,7 @@ reference scheduler sits behind ``quiesce=False`` for differential tests.
 from __future__ import annotations
 
 import heapq
-import itertools
+from functools import partial
 from typing import TYPE_CHECKING, Callable
 
 from repro.memory.interconnect import MeshNetwork
@@ -29,12 +32,17 @@ class DeadlockError(RuntimeError):
 
 
 class EventEngine:
-    """Global clock + event heap + message fabric.
+    """Global clock + calendar event queue + message fabric.
+
+    Events due in the same cycle run in the order they were scheduled
+    (FIFO within the cycle's bucket); an action scheduled for the cycle
+    being drained joins the end of that bucket and runs in the same
+    :meth:`run_events` call.
 
     ``tracer`` (optional) observes every routed message: because mesh
     delivery is deterministic, both the send and the delivery cycle are
     known at :meth:`send` time, so tracing adds no events of its own to
-    the heap — it is timing-transparent by construction.
+    the queue — it is timing-transparent by construction.
     """
 
     def __init__(
@@ -43,8 +51,10 @@ class EventEngine:
         self.network = network
         self.tracer = tracer
         self.now = 0
-        self._heap: list[tuple[int, int, Callable[[], None]]] = []
-        self._tiebreak = itertools.count()
+        # cycle -> actions due then, in scheduling order; ``_cycles`` is a
+        # min-heap holding each key of ``_buckets`` exactly once.
+        self._buckets: dict[int, list[Callable[[], None]]] = {}
+        self._cycles: list[int] = []
         self._endpoints: dict[int, Callable[[Message], None]] = {}
         self._dir_endpoints: dict[int, Callable[[Message], None]] = {}
 
@@ -69,7 +79,12 @@ class EventEngine:
     def schedule(self, cycle: int, action: Callable[[], None]) -> None:
         if cycle < self.now:
             raise ValueError(f"cannot schedule at {cycle}, now is {self.now}")
-        heapq.heappush(self._heap, (cycle, next(self._tiebreak), action))
+        bucket = self._buckets.get(cycle)
+        if bucket is None:
+            self._buckets[cycle] = [action]
+            heapq.heappush(self._cycles, cycle)
+        else:
+            bucket.append(action)
 
     def schedule_in(self, delay: int, action: Callable[[], None]) -> None:
         # A negative delay is always a latency-arithmetic bug at the call
@@ -84,17 +99,18 @@ class EventEngine:
 
     def send(self, msg: Message, to_directory: bool) -> None:
         """Route a message through the mesh and deliver it as an event."""
-        arrival = self.network.delivery_cycle(msg.src, msg.dst, self.now)
+        now = self.now
+        arrival = self.network.delivery_cycle(msg.src, msg.dst, now)
         registry = self._dir_endpoints if to_directory else self._endpoints
         handler = registry.get(msg.dst)
         if handler is None:
             raise UnknownEndpointError(msg.dst, to_directory=to_directory, msg=msg)
         # Deliver strictly in the future so a handler never runs mid-cycle
         # for the component that sent it.
-        deliver = max(arrival, self.now + 1)
+        deliver = arrival if arrival > now else now + 1
         if self.tracer is not None:
-            self.tracer.coh(self.now, deliver, msg, to_directory)
-        self.schedule(deliver, lambda: handler(msg))
+            self.tracer.coh(now, deliver, msg, to_directory)
+        self.schedule(deliver, partial(handler, msg))
 
     # ------------------------------------------------------------------
     # Clock control
@@ -102,19 +118,26 @@ class EventEngine:
 
     @property
     def next_event_cycle(self) -> int | None:
-        return self._heap[0][0] if self._heap else None
+        return self._cycles[0] if self._cycles else None
 
     def run_events(self) -> bool:
         """Run every event due at the current cycle; True if any ran."""
-        # Hot loop: the heap list identity is stable (schedule() pushes into
-        # the same object), so locals are safe across action() re-entry.
-        heap = self._heap
+        # Hot loop: the container identities are stable (schedule() appends
+        # to the same objects), so locals are safe across action() re-entry.
+        cycles = self._cycles
         now = self.now
-        if not heap or heap[0][0] > now:
+        if not cycles or cycles[0] > now:
             return False
+        buckets = self._buckets
         pop = heapq.heappop
-        while heap and heap[0][0] <= now:
-            pop(heap)[2]()
+        while cycles and cycles[0] <= now:
+            cycle = cycles[0]
+            # A list iterator re-reads the length each step, so actions
+            # appended to this bucket while it drains run in this loop.
+            for action in buckets[cycle]:
+                action()
+            pop(cycles)
+            del buckets[cycle]
         return True
 
     def advance(
@@ -131,7 +154,7 @@ class EventEngine:
         :meth:`repro.core.pipeline.Core.next_wake_cycle`): the jump never
         overshoots a sleeping core's scheduled resume cycle, so per-core
         fast-forward can skip idle stretches without missing a wake.  If
-        idle with an empty heap and no pending wake, the system is
+        idle with an empty queue and no pending wake, the system is
         deadlocked.
 
         ``limit`` is the caller's cycle budget: an idle jump is clamped to

@@ -323,7 +323,7 @@ class MulticoreSimulator:
     def _run_quiesced(self, max_cycles: int) -> None:
         """Pure event pump: run due events, fire due wakes, pump runnables.
 
-        Nothing is polled.  Each pass drains the engine heap at ``now``,
+        Nothing is polled.  Each pass drains the engine queue at ``now``,
         retires due timed wakes (lazily discarding stale entries for
         finished cores or wakes an earlier firing already consumed), then
         pumps exactly the cores whose wake flag is up — in core-id order,

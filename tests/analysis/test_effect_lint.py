@@ -171,6 +171,32 @@ class TestSeededDefects:
             for f in findings
         )
 
+    def test_nondet_helper_reached_only_through_partial(self, tmp_path):
+        # Callbacks are scheduled as partial objects, not lambdas: the
+        # call graph must follow partial(f, ...) to f, or everything the
+        # engine fires later drops out of the determinism rule's reach.
+        mutate(
+            tmp_path,
+            "core/pipeline.py",
+            "class Core:",
+            "def _host_jitter(dyn):\n"
+            "    return time.perf_counter()\n"
+            "\n\n"
+            "class Core:",
+        )
+        root = mutate(
+            tmp_path,
+            "core/pipeline.py",
+            "    def schedule_complete(self, dyn: DynInstr, delay: int) -> None:\n",
+            "    def schedule_complete(self, dyn: DynInstr, delay: int) -> None:\n"
+            "        self.engine.schedule(self.engine.now, partial(_host_jitter, dyn))\n",
+        )
+        findings = [f for f in run_lint(root) if f.rule == "determinism"]
+        assert any(
+            "_host_jitter" in f.message and "host clock" in f.message
+            for f in findings
+        ), findings
+
     def test_renamed_root_is_reported(self, tmp_path):
         root = mutate(
             tmp_path,

@@ -1,7 +1,13 @@
 """Replacement-policy tests (FIFO / RANDOM / SRRIP vs LRU)."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import repro
 from repro.common.params import CacheParams, ReplacementPolicy
 from repro.memory.cache import SetAssocCache
 
@@ -47,6 +53,27 @@ class TestRandom:
             return [c.insert(10 + i) for i in range(4)]
 
         assert run() == run()
+
+    def test_same_victims_under_any_hash_seed(self):
+        # The xorshift seed must not come from hash(name), which
+        # PYTHONHASHSEED salts per process: the same RunSpec would then
+        # evict differently in two processes.
+        script = (
+            "from repro.common.params import CacheParams, ReplacementPolicy\n"
+            "from repro.memory.cache import SetAssocCache\n"
+            "c = SetAssocCache(CacheParams(4 * 2 * 64, 2, 1,"
+            " replacement=ReplacementPolicy.RANDOM), name='l2[0]')\n"
+            "print([c.insert(line) for line in range(0, 64, 4)])\n"
+        )
+        src = str(Path(repro.__file__).resolve().parents[1])
+        outputs = set()
+        for seed in ("1", "2"):
+            env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": src}
+            outputs.add(subprocess.run(
+                [sys.executable, "-c", script], env=env, check=True,
+                capture_output=True, text=True,
+            ).stdout)
+        assert len(outputs) == 1, outputs
 
     def test_respects_pinning(self):
         c = make(ReplacementPolicy.RANDOM, ways=2)

@@ -14,7 +14,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from repro.common.params import SystemParams
+from repro.common.params import AtomicMode, SystemParams
 from repro.isa.instructions import line_of
 from repro.memory.image import MemoryImage
 from repro.memory.messages import Message, MsgKind
@@ -249,6 +249,22 @@ class TestFullSystem:
         for invariant in ("swmr", "dir-agreement", "sb-fifo",
                           "rmw-atomicity", "data-value", "blocked-liveness"):
             assert sim.sanitizer.checks.get(invariant, 0) > 0, invariant
+
+    @pytest.mark.parametrize("mode", ["eager", "far"])
+    def test_trace_holds_every_message(self, mode):
+        """The sanitizer replaces ``engine.send`` on the instance, so every
+        send must look the method up when it is made: each message the
+        network routed is in the trace, none bypassed the wrapper."""
+        params = SystemParams.quick(atomic_mode=AtomicMode(mode))
+        prog = atomic_counter(4, 25)
+        sim = MulticoreSimulator(
+            params, prog, sanitize=SanitizerConfig(trace_depth=1_000_000)
+        )
+        result = sim.run()
+        messages = result.network_stats.counter("messages").value
+        assert messages > 0
+        traced = sim.sanitizer.trace.for_line(None, limit=1_000_000)
+        assert len(traced) == messages
 
     def test_forged_owner_in_live_system_fires(self):
         params = SystemParams.quick()

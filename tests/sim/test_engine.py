@@ -53,6 +53,25 @@ class TestScheduling:
         eng.schedule_in(0, lambda: None)
         assert eng.next_event_cycle == 10
 
+    def test_same_cycle_schedule_during_drain_runs_in_that_drain(self):
+        # An action scheduled for ``now`` by an event being drained joins
+        # the end of the cycle's queue: it runs in the same run_events()
+        # call, after every event that was already queued for the cycle.
+        eng = make_engine()
+        fired = []
+
+        def first():
+            fired.append("first")
+            eng.schedule(eng.now, lambda: fired.append("spawned"))
+
+        eng.schedule(2, first)
+        eng.schedule(2, lambda: fired.append("second"))
+        eng.schedule(3, lambda: fired.append("next cycle"))
+        eng.now = 2
+        assert eng.run_events()
+        assert fired == ["first", "second", "spawned"]
+        assert eng.next_event_cycle == 3
+
     def test_run_events_returns_whether_any_ran(self):
         eng = make_engine()
         assert not eng.run_events()
