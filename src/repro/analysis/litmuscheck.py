@@ -10,7 +10,7 @@ interleaving enumeration for that model:
   oracle's allowed set.  A violation means the pipeline manufactured an
   ordering the model forbids (e.g. TSO showing MP's ``flag=1, data=0``).
 * **Demonstration** — under RELAXED, the sweep must actually *reach* the
-  tagged relaxed-only outcomes (MP ``(1, 0)``, IRIW ``(1, 0, 1, 0)``),
+  tagged relaxed-only outcomes (e.g. MP ``(1, 0)``, IRIW ``(1, 0, 1, 0)``),
   proving the model plug changes machine behaviour rather than merely
   renaming TSO.
 
@@ -92,7 +92,7 @@ def check_test(
     allowed = allowed_outcomes(test, kind)
     report = TestReport(test=test.name, model=kind.value, allowed=allowed)
     for pads in test.pad_sets:
-        program = test.build(*pads)
+        program = test.program(*pads)
         result = simulate(run_params, program, sanitize=sanitize)
         outcome = observed_outcome(program, result.load_values)
         report.outcomes.setdefault(outcome, pads)
@@ -137,6 +137,22 @@ def check_all(
 ) -> list:
     """Cross-validate every model; the ``repro check`` litmus gate."""
     return [check_model(m, tests, params, sanitize) for m in models]
+
+
+def sweep(
+    models: tuple = (ConsistencyKind.TSO, ConsistencyKind.RELAXED),
+    tests: "list[str] | None" = None,
+    require_demos: bool = True,
+) -> int:
+    """Check and print every model's report; the exit code of each
+    litmus door: 1 on an oracle violation or, with ``require_demos``, on
+    a relaxed-only outcome the sweep never reached; else 0."""
+    rc = 0
+    for report in check_all(models, tests):
+        print(format_report(report))
+        if report.violations or (require_demos and not report.ok):
+            rc = 1
+    return rc
 
 
 def format_report(report: LitmusReport) -> str:

@@ -506,13 +506,9 @@ def _check_campaigns() -> int:
 def _check_litmus() -> int:
     """Cross-validate the simulator against the litmus oracle under
     every consistency model (incl. the relaxed-only demonstrations)."""
-    from repro.analysis.litmuscheck import check_all, format_report
+    from repro.analysis.litmuscheck import sweep
 
-    rc = 0
-    for report in check_all():
-        print(format_report(report))
-        if not report.ok:
-            rc = 1
+    rc = sweep()
     if rc:
         print(
             "litmus gate failed: the timing model reached an outcome the"
@@ -736,14 +732,9 @@ def cmd_campaign(args) -> int:
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
     if campaign.kind == "litmus":
-        from repro.analysis.litmuscheck import check_model, format_report
+        from repro.analysis.litmuscheck import sweep
 
-        rc = 0
-        for model in campaign.models:
-            report = check_model(model, tests=list(campaign.programs))
-            print(format_report(report))
-            if not report.ok:
-                rc = 1
+        rc = sweep(campaign.models, list(campaign.programs))
         _campaign_output(campaign, scale, None)
         return rc
     if campaign.kind == "microbench":
@@ -832,7 +823,7 @@ def cmd_litmus(args) -> int:
     ``--check``, every relaxed-only outcome was demonstrated), 1 on a
     violation or missing demonstration, 2 on an unknown program/model.
     """
-    from repro.analysis.litmuscheck import check_model, format_report
+    from repro.analysis.litmuscheck import sweep
     from repro.workloads.litmus_oracle import LITMUS_TESTS
 
     models = args.model or ["tso", "relaxed"]
@@ -844,15 +835,7 @@ def cmd_litmus(args) -> int:
                 f"unknown litmus program(s) {', '.join(unknown)}; valid:"
                 f" {', '.join(sorted(LITMUS_TESTS))}"
             )
-    rc = 0
-    for model in models:
-        report = check_model(model, tests=programs)
-        print(format_report(report))
-        if report.violations:
-            rc = 1
-        elif args.check and not report.ok:
-            rc = 1
-    return rc
+    return sweep(models, programs, require_demos=args.check)
 
 
 def cmd_list(_args) -> int:

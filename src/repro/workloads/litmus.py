@@ -5,13 +5,12 @@ buffer and Atomic Queue that the synthetic workloads hit statistically.
 Timing variation is injected through per-thread ALU padding so a litmus
 outcome set can be collected across many interleavings deterministically.
 
-The classic multi-thread shapes (MP/SB/LB/IRIW, plus fenced variants)
-carry an ``"observed"`` metadata entry — a tuple of ``(thread, seq)``
-pairs naming the observation loads, in outcome order — so
-:mod:`repro.analysis.litmuscheck` can extract a final-state tuple from
-``RunResult.load_values`` and compare it against the exhaustive
-interleaving oracle (:mod:`repro.workloads.litmus_oracle`), which tags
-each outcome allowed/forbidden per consistency model.
+The classic multi-thread shapes (MP/SB/LB/IRIW, fenced and RMW variants)
+are not built here: each is an oracle skeleton in
+:mod:`repro.workloads.litmus_oracle`, whose ``LitmusTest.program``
+compiles it (with :func:`_padded`) into the simulator program.  This
+module keeps the addresses they share and the atomicity programs the
+oracle does not model.
 """
 
 from __future__ import annotations
@@ -25,7 +24,6 @@ from repro.isa.instructions import (
     alu,
     atomic,
     load,
-    mfence,
     store,
 )
 
@@ -59,196 +57,6 @@ def _padded(instrs: list[Instruction], pad: int, thread_id: int) -> ThreadTrace:
             )
         )
     return ThreadTrace(thread_id, out)
-
-
-def _delayed_load(
-    body: list[Instruction], delay: int, pc: int, addr: int
-) -> None:
-    """Append a ``delay``-long serial ALU chain, then a load of ``addr``
-    depending on the chain's tail.  With ``delay == 0`` this is a plain
-    load.  The chain postpones *execution* of this load without ordering
-    it against other memory ops — the lever that lets a younger,
-    independent load run ahead of it (visible only under RELAXED; the
-    TSO snoop squashes the early load when its line is invalidated).
-    """
-    base = len(body)
-    for i in range(delay):
-        deps = (base + i - 1,) if i else ()
-        body.append(alu(base + i, pc=0x14, deps=deps, latency=1))
-    deps = (base + delay - 1,) if delay else ()
-    body.append(load(base + delay, pc=pc, addr=addr, deps=deps))
-
-
-def message_passing(
-    pad0: int = 0, pad1: int = 0, obs_delay: int = 0
-) -> Program:
-    """MP: T0 stores data then flag; T1 reads flag then data.
-
-    Forbidden under TSO: T1 sees flag==1 but data==0.  ``obs_delay``
-    delays the flag load behind an ALU chain while the data load stays
-    independent, opening the load-load reordering window RELAXED admits.
-    """
-    t0 = [
-        store(0, pc=0x100, addr=X_ADDR, value=1),
-        store(1, pc=0x104, addr=Y_ADDR, value=1),
-    ]
-    t1: list[Instruction] = []
-    _delayed_load(t1, obs_delay, pc=0x200, addr=Y_ADDR)  # flag
-    t1.append(load(len(t1), pc=0x204, addr=X_ADDR))  # data
-    flag_seq = pad1 + obs_delay
-    return Program(
-        "litmus-mp",
-        [_padded(t0, pad0, 0), _padded(t1, pad1, 1)],
-        metadata={
-            "obs_thread": 1,
-            "flag_seq": flag_seq,
-            "data_seq": flag_seq + 1,
-            "observed": ((1, flag_seq), (1, flag_seq + 1)),
-        },
-    )
-
-
-def message_passing_fenced(
-    pad0: int = 0, pad1: int = 0, obs_delay: int = 0
-) -> Program:
-    """MP with an MFENCE in each thread (between the stores and between
-    the loads).  Forbidden under every shipped model: flag==1, data==0 —
-    fences restore the order RELAXED gives up, even with the same
-    ``obs_delay`` reordering lever the unfenced variant uses."""
-    t0 = [
-        store(0, pc=0x100, addr=X_ADDR, value=1),
-        mfence(1, pc=0x102),
-        store(2, pc=0x104, addr=Y_ADDR, value=1),
-    ]
-    t1: list[Instruction] = []
-    _delayed_load(t1, obs_delay, pc=0x200, addr=Y_ADDR)  # flag
-    t1.append(mfence(len(t1), pc=0x202))
-    t1.append(load(len(t1), pc=0x204, addr=X_ADDR))  # data
-    flag_seq = pad1 + obs_delay
-    return Program(
-        "litmus-mp-fenced",
-        [_padded(t0, pad0, 0), _padded(t1, pad1, 1)],
-        metadata={
-            "obs_thread": 1,
-            "flag_seq": flag_seq,
-            "data_seq": flag_seq + 2,
-            "observed": ((1, flag_seq), (1, flag_seq + 2)),
-        },
-    )
-
-
-def store_buffering(pad0: int = 0, pad1: int = 0) -> Program:
-    """SB: each thread stores one flag then loads the other.
-
-    TSO (unlike SC) allows both loads to read 0.
-    """
-    t0 = [
-        store(0, pc=0x100, addr=X_ADDR, value=1),
-        load(1, pc=0x104, addr=Y_ADDR),
-    ]
-    t1 = [
-        store(0, pc=0x200, addr=Y_ADDR, value=1),
-        load(1, pc=0x204, addr=X_ADDR),
-    ]
-    return Program(
-        "litmus-sb",
-        [_padded(t0, pad0, 0), _padded(t1, pad1, 1)],
-        metadata={
-            "load_seq": (pad0 + 1, pad1 + 1),
-            "observed": ((0, pad0 + 1), (1, pad1 + 1)),
-        },
-    )
-
-
-def store_buffering_fenced(pad0: int = 0, pad1: int = 0) -> Program:
-    """SB with an MFENCE between each thread's store and load.
-
-    Forbidden under every shipped model: both loads reading 0 — the
-    fence drains the store buffer before the load may issue, which is
-    exactly the mechanism that makes fenced SB sequentially consistent.
-    """
-    t0 = [
-        store(0, pc=0x100, addr=X_ADDR, value=1),
-        mfence(1, pc=0x102),
-        load(2, pc=0x104, addr=Y_ADDR),
-    ]
-    t1 = [
-        store(0, pc=0x200, addr=Y_ADDR, value=1),
-        mfence(1, pc=0x202),
-        load(2, pc=0x204, addr=X_ADDR),
-    ]
-    return Program(
-        "litmus-sb-fenced",
-        [_padded(t0, pad0, 0), _padded(t1, pad1, 1)],
-        metadata={
-            "load_seq": (pad0 + 2, pad1 + 2),
-            "observed": ((0, pad0 + 2), (1, pad1 + 2)),
-        },
-    )
-
-
-def load_buffering(pad0: int = 0, pad1: int = 0) -> Program:
-    """LB: each thread loads one flag then stores the other.
-
-    Forbidden under TSO (and not reachable in this machine even under
-    RELAXED, since stores drain only after in-order commit): both loads
-    reading 1.  A weak-model oracle allows it, so the simulator's
-    outcome set is a strict subset there.
-    """
-    t0 = [
-        load(0, pc=0x100, addr=X_ADDR),
-        store(1, pc=0x104, addr=Y_ADDR, value=1),
-    ]
-    t1 = [
-        load(0, pc=0x200, addr=Y_ADDR),
-        store(1, pc=0x204, addr=X_ADDR, value=1),
-    ]
-    return Program(
-        "litmus-lb",
-        [_padded(t0, pad0, 0), _padded(t1, pad1, 1)],
-        metadata={"observed": ((0, pad0), (1, pad1))},
-    )
-
-
-def iriw(
-    pad0: int = 0,
-    pad1: int = 0,
-    pad2: int = 0,
-    pad3: int = 0,
-    obs_delay: int = 0,
-) -> Program:
-    """IRIW: two writers to independent lines, two readers in opposite
-    orders.  Forbidden under TSO: the readers disagreeing on the write
-    order (r0==1, r1==0, r2==1, r3==0).  RELAXED load-load reordering
-    makes that outcome admissible; ``obs_delay`` delays each reader's
-    *first* load so its younger load can run ahead."""
-    t0 = [store(0, pc=0x100, addr=X_ADDR, value=1)]
-    t1 = [store(0, pc=0x110, addr=Y_ADDR, value=1)]
-    t2: list[Instruction] = []
-    _delayed_load(t2, obs_delay, pc=0x200, addr=X_ADDR)
-    t2.append(load(len(t2), pc=0x204, addr=Y_ADDR))
-    t3: list[Instruction] = []
-    _delayed_load(t3, obs_delay, pc=0x300, addr=Y_ADDR)
-    t3.append(load(len(t3), pc=0x304, addr=X_ADDR))
-    first2 = pad2 + obs_delay
-    first3 = pad3 + obs_delay
-    return Program(
-        "litmus-iriw",
-        [
-            _padded(t0, pad0, 0),
-            _padded(t1, pad1, 1),
-            _padded(t2, pad2, 2),
-            _padded(t3, pad3, 3),
-        ],
-        metadata={
-            "observed": (
-                (2, first2),
-                (2, first2 + 1),
-                (3, first3),
-                (3, first3 + 1),
-            ),
-        },
-    )
 
 
 def atomic_counter(

@@ -15,13 +15,15 @@ Operational rules (one abstract machine per model, small-step):
   per-thread store buffer, loads forward from the youngest older
   same-address SB entry or else read memory, fences wait for older
   memory ops and an SB empty of older stores, atomics read-modify-write
-  memory directly.
+  memory directly once no older same-address store sits in the SB.
 * A thread may also *flush* an SB entry to memory (making it globally
   visible).
 
 Under **TSO** instructions execute strictly in program order and the SB
 flushes FIFO — the only visible relaxation is a load executing while
-older stores sit in the SB (store->load reordering).  Under **RELAXED**
+older stores sit in the SB (store->load reordering); an atomic, like a
+fence, waits for an SB empty of older stores (an x86 locked RMW drains
+the store buffer).  Under **RELAXED**
 (WMM-style) an instruction may execute once its dependencies, older
 fences and older same-address memory ops are done (load-load and
 load/store reordering), and the SB flushes in any order that preserves
@@ -30,15 +32,28 @@ same-address FIFO (store-store reordering).
 Every state of the enumeration is finite and hashable; a DFS with
 memoization visits each once.  Skeletons stay tiny (<= 4 threads of
 <= 3 ops), so the state space is a few thousand states at worst.
+
+The skeleton is the shape's only definition: :meth:`LitmusTest.program`
+compiles it into the simulator program the cross-validation runs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable
 
 from repro.common.params import ConsistencyKind
-from repro.isa.instructions import AtomicOp, Instruction, Program, apply_atomic
+from repro.isa.instructions import (
+    LINE_BYTES,
+    AtomicOp,
+    Instruction,
+    Program,
+    alu,
+    apply_atomic,
+    atomic,
+    load,
+    mfence,
+    store,
+)
 from repro.workloads import litmus
 
 # ---------------------------------------------------------------------------
@@ -48,21 +63,33 @@ from repro.workloads import litmus
 
 @dataclass(frozen=True)
 class Op:
-    """One oracle-level instruction: a load, store, fence or atomic."""
+    """One oracle-level instruction: a load, store, fence or atomic.
+    ``delayed`` puts the compiled program's ``obs_delay`` ALU chain in
+    front of the op; the oracle ignores it."""
 
     kind: str  # "load" | "store" | "fence" | "atomic"
     addr: int | None = None
     value: int = 0  # store value / atomic operand
     op: AtomicOp | None = None  # atomic only
     deps: tuple[int, ...] = ()  # indices of same-thread producers
+    delayed: bool = False
 
     @property
     def is_memory(self) -> bool:
         return self.kind in ("load", "store", "atomic")
 
+    def instruction(self, seq: int, pc: int, deps: tuple[int, ...]) -> Instruction:
+        if self.kind == "load":
+            return load(seq, pc, self.addr, deps)
+        if self.kind == "store":
+            return store(seq, pc, self.addr, self.value, deps)
+        if self.kind == "atomic":
+            return atomic(seq, pc, self.addr, self.op, self.value, deps=deps)
+        return mfence(seq, pc)
 
-def ld(addr: int) -> Op:
-    return Op("load", addr)
+
+def ld(addr: int, delayed: bool = False) -> Op:
+    return Op("load", addr, delayed=delayed)
 
 
 def st(addr: int, value: int) -> Op:
@@ -73,6 +100,10 @@ def fence() -> Op:
     return Op("fence")
 
 
+def rmw(op: AtomicOp, addr: int, value: int = 1) -> Op:
+    return Op("atomic", addr, value, op)
+
+
 # ---------------------------------------------------------------------------
 # Test registry
 # ---------------------------------------------------------------------------
@@ -80,29 +111,66 @@ def fence() -> Op:
 
 @dataclass(frozen=True)
 class LitmusTest:
-    """One named litmus shape: simulator builder + oracle skeleton + tags.
+    """One named litmus shape: oracle skeleton + sweep + tags.
 
-    ``observed`` indexes the loads whose final register values form the
-    outcome tuple, as ``(thread, op_index)`` pairs in outcome order —
-    the same order the builder's ``"observed"`` metadata uses for the
-    padded program.  ``forbidden`` is the documentation tag: the
-    classically forbidden outcome(s) per model, cross-checked against
-    the enumeration by the test suite (the oracle is the ground truth;
-    the tag is the human-readable claim).  ``pad_sets`` are full
-    positional argument tuples for ``build`` (padding vectors, plus an
-    ``obs_delay`` for the shapes that take one) that the simulator
-    cross-validation sweeps; they include combinations empirically
-    known to reach every ``relaxed_only`` outcome under RELAXED.
+    The skeleton (``threads``) is the only definition of the shape:
+    :meth:`program` compiles it into the simulator program.
+    ``observed`` indexes the ops whose final register values form the
+    outcome tuple, as ``(thread, op_index)`` pairs in outcome order.
+    ``forbidden`` is the documentation tag: the classically forbidden
+    outcome(s) per model, cross-checked against the enumeration by the
+    test suite (the oracle is the ground truth; the tag is the
+    human-readable claim).  ``pad_sets`` are the :meth:`program`
+    arguments the simulator cross-validation sweeps; they include
+    combinations empirically known to reach every ``relaxed_only``
+    outcome under RELAXED.  ``pc_bases`` overrides the per-thread PC
+    base ``0x100 * (thread + 1)``.
     """
 
     name: str
     description: str
-    build: Callable[..., Program]
     threads: tuple[tuple[Op, ...], ...]
     observed: tuple[tuple[int, int], ...]
     forbidden: dict[ConsistencyKind, frozenset[tuple[int, ...]]]
     pad_sets: tuple[tuple[int, ...], ...]
     relaxed_only: frozenset[tuple[int, ...]] = field(default_factory=frozenset)
+    pc_bases: tuple[int, ...] = ()
+
+    def program(self, *pad_set: int) -> Program:
+        """Compile the skeleton for one pad set: an ALU-padding length per
+        thread (missing ones are 0), then an optional ``obs_delay``.
+        Memory op *k* of thread *t* sits at PC ``base_t + 4k``, a fence 2
+        past the op before it; ``metadata["observed"]`` holds
+        :attr:`observed` as ``(thread, seq)`` pairs."""
+        n = len(self.threads)
+        pads = (pad_set + (0,) * n)[:n]
+        obs_delay = pad_set[n] if len(pad_set) > n else 0
+        traces, seqs = [], []
+        for tid, ops in enumerate(self.threads):
+            base = self.pc_bases[tid] if self.pc_bases else 0x100 * (tid + 1)
+            body: list[Instruction] = []
+            seq_of: list[int] = []
+            pc, mem = base - 4, 0
+            for op in ops:
+                deps = tuple(seq_of[d] for d in op.deps)
+                if op.delayed and obs_delay:
+                    start = len(body)
+                    for i in range(obs_delay):
+                        chain = (start + i - 1,) if i else ()
+                        body.append(alu(start + i, pc=0x14, deps=chain))
+                    deps += (len(body) - 1,)
+                if op.is_memory:
+                    pc, mem = base + 4 * mem, mem + 1
+                else:
+                    pc += 2
+                seq_of.append(len(body))
+                body.append(op.instruction(len(body), pc, deps))
+            traces.append(litmus._padded(body, pads[tid], tid))
+            seqs.append(seq_of)
+        observed = tuple((t, pads[t] + seqs[t][i]) for t, i in self.observed)
+        return Program(
+            f"litmus-{self.name}", traces, metadata={"observed": observed}
+        )
 
 
 def _pads_2(*values: int) -> tuple[tuple[int, ...], ...]:
@@ -110,37 +178,39 @@ def _pads_2(*values: int) -> tuple[tuple[int, ...], ...]:
 
 
 X, Y = litmus.X_ADDR, litmus.Y_ADDR
+Z0, Z1 = 400 * LINE_BYTES, 500 * LINE_BYTES  # private RMW lines
+
+#: (pad0, pad1, obs_delay): the last three reach MP's (1, 0) under RELAXED.
+_MP_PADS = (
+    (0, 0, 0),
+    (2, 0, 0),
+    (0, 2, 0),
+    (4, 4, 0),
+    (16, 16, 0),
+    (8, 0, 20),
+    (16, 0, 20),
+    (24, 0, 40),
+)
 
 LITMUS_TESTS: dict[str, LitmusTest] = {
     "mp": LitmusTest(
         name="mp",
         description="message passing: stores data then flag / loads flag then data",
-        build=litmus.message_passing,
-        threads=((st(X, 1), st(Y, 1)), (ld(Y), ld(X))),
+        threads=((st(X, 1), st(Y, 1)), (ld(Y, delayed=True), ld(X))),
         observed=((1, 0), (1, 1)),  # (flag, data)
         forbidden={
             ConsistencyKind.TSO: frozenset({(1, 0)}),
             ConsistencyKind.RELAXED: frozenset(),
         },
         relaxed_only=frozenset({(1, 0)}),
-        pad_sets=(
-            (0, 0, 0),
-            (2, 0, 0),
-            (0, 2, 0),
-            (4, 4, 0),
-            (16, 16, 0),
-            (8, 0, 20),
-            (16, 0, 20),
-            (24, 0, 40),
-        ),
+        pad_sets=_MP_PADS,
     ),
     "mp+fences": LitmusTest(
         name="mp+fences",
         description="message passing with MFENCEs: forbidden outcome restored",
-        build=litmus.message_passing_fenced,
         threads=(
             (st(X, 1), fence(), st(Y, 1)),
-            (ld(Y), fence(), ld(X)),
+            (ld(Y, delayed=True), fence(), ld(X)),
         ),
         observed=((1, 0), (1, 2)),
         forbidden={
@@ -159,7 +229,6 @@ LITMUS_TESTS: dict[str, LitmusTest] = {
     "sb": LitmusTest(
         name="sb",
         description="store buffering: both loads may read 0 under TSO already",
-        build=litmus.store_buffering,
         threads=((st(X, 1), ld(Y)), (st(Y, 1), ld(X))),
         observed=((0, 1), (1, 1)),
         forbidden={
@@ -171,7 +240,6 @@ LITMUS_TESTS: dict[str, LitmusTest] = {
     "sb+fences": LitmusTest(
         name="sb+fences",
         description="store buffering with MFENCEs: (0, 0) forbidden (SC restored)",
-        build=litmus.store_buffering_fenced,
         threads=(
             (st(X, 1), fence(), ld(Y)),
             (st(Y, 1), fence(), ld(X)),
@@ -186,7 +254,6 @@ LITMUS_TESTS: dict[str, LitmusTest] = {
     "lb": LitmusTest(
         name="lb",
         description="load buffering: loads then cross-stores; (1, 1) is the weak outcome",
-        build=litmus.load_buffering,
         threads=((ld(X), st(Y, 1)), (ld(Y), st(X, 1))),
         observed=((0, 0), (1, 0)),
         forbidden={
@@ -198,12 +265,11 @@ LITMUS_TESTS: dict[str, LitmusTest] = {
     "iriw": LitmusTest(
         name="iriw",
         description="independent reads of independent writes: readers must agree under TSO",
-        build=litmus.iriw,
         threads=(
             (st(X, 1),),
             (st(Y, 1),),
-            (ld(X), ld(Y)),
-            (ld(Y), ld(X)),
+            (ld(X, delayed=True), ld(Y)),
+            (ld(Y, delayed=True), ld(X)),
         ),
         observed=((2, 0), (2, 1), (3, 0), (3, 1)),
         forbidden={
@@ -221,6 +287,37 @@ LITMUS_TESTS: dict[str, LitmusTest] = {
             (16, 16, 0, 0, 20),
             (24, 24, 0, 0, 40),
         ),
+        pc_bases=(0x100, 0x110, 0x200, 0x300),
+    ),
+    "mp+swap": LitmusTest(
+        name="mp+swap",
+        description="message passing, flag set by a SWAP: the locked RMW drains the SB",
+        threads=(
+            (st(X, 1), rmw(AtomicOp.SWAP, Y, 1)),
+            (ld(Y, delayed=True), ld(X)),
+        ),
+        observed=((1, 0), (1, 1)),
+        forbidden={
+            ConsistencyKind.TSO: frozenset({(1, 0)}),
+            ConsistencyKind.RELAXED: frozenset(),
+        },
+        relaxed_only=frozenset({(1, 0)}),
+        pad_sets=_MP_PADS,
+    ),
+    "sb+rmw": LitmusTest(
+        name="sb+rmw",
+        description="store buffering, FAA before each load: (0, 0) forbidden under TSO",
+        threads=(
+            (st(X, 1), rmw(AtomicOp.FAA, Z0), ld(Y)),
+            (st(Y, 1), rmw(AtomicOp.FAA, Z1), ld(X)),
+        ),
+        observed=((0, 2), (1, 2)),
+        forbidden={
+            ConsistencyKind.TSO: frozenset({(0, 0)}),
+            ConsistencyKind.RELAXED: frozenset(),
+        },
+        relaxed_only=frozenset({(0, 0)}),
+        pad_sets=_pads_2(0, 2, 6, 12),
     ),
 }
 
@@ -263,11 +360,14 @@ def _may_execute(
                 return False  # same-address program order (coherence)
             if op.kind == "atomic" and prev.kind == "atomic":
                 return False  # atomics stay ordered with atomics
-    if op.kind == "fence":
-        # The SB must hold no older store (all flushed to memory).
+    if op.kind == "fence" or (
+        op.kind == "atomic" and kind is ConsistencyKind.TSO
+    ):
+        # The SB must hold no older store (all flushed to memory): a
+        # fence drains it, and so does an x86 locked RMW.
         if any(idx < i for (_, _, idx) in sb):
             return False
-    if op.kind == "atomic":
+    elif op.kind == "atomic":
         # The atomic writes memory directly: older same-address SB
         # entries must have flushed first.
         if any(addr == op.addr and idx < i for (addr, _, idx) in sb):
@@ -368,35 +468,6 @@ def _outcome(test: LitmusTest, tstates: tuple) -> tuple[int, ...]:
 
 def observed_outcome(program: Program, load_values: list[dict]) -> tuple[int, ...]:
     """Extract the observation tuple from a simulator run's per-core
-    committed load values, using the builder's ``"observed"`` metadata."""
+    committed load values, using the program's ``"observed"`` metadata."""
     pairs = program.metadata["observed"]
     return tuple(load_values[tid][seq] for tid, seq in pairs)
-
-
-def skeleton_matches(test: LitmusTest) -> bool:
-    """Anti-drift check: the oracle skeleton and the unpadded builder
-    program describe the same instruction streams."""
-    program = test.build()
-    if program.num_threads != len(test.threads):
-        return False
-    kind_of = {
-        "LOAD": "load", "STORE": "store", "MFENCE": "fence",
-        "ATOMIC": "atomic",
-    }
-    for trace, ops in zip(program.traces, test.threads):
-        # ALU padding/delay chains are local computation: invisible to
-        # the memory model, so the skeleton omits them.
-        instrs: list[Instruction] = [
-            ins for ins in trace.instructions
-            if ins.cls.name in kind_of
-        ]
-        if len(instrs) != len(ops):
-            return False
-        for ins, op in zip(instrs, ops):
-            if kind_of.get(ins.cls.name) != op.kind:
-                return False
-            if op.is_memory and ins.addr != op.addr:
-                return False
-            if op.kind == "store" and ins.operand != op.value:
-                return False
-    return True

@@ -184,7 +184,7 @@ class TestConsistencySeamDefects:
             "core/consistency.py",
             "from repro.isa.instructions import InstrClass",
             "from repro.isa.instructions import InstrClass\n"
-            "from repro.workloads.litmus import message_passing",
+            "from repro.workloads.litmus import atomic_counter",
         )
         findings = [
             f for f in run_lint(root) if f.rule == "consistency-seam"

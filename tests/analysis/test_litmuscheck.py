@@ -1,6 +1,8 @@
 """Cross-validation of the simulator against the interleaving oracle,
 plus the ``repro litmus`` CLI that fronts it."""
 
+import dataclasses
+
 import pytest
 
 from repro.analysis.litmuscheck import (
@@ -8,8 +10,9 @@ from repro.analysis.litmuscheck import (
     check_model,
     check_test,
     format_report,
+    sweep,
 )
-from repro.cli import UsageError, main
+from repro.cli import UsageError, _check_litmus, main
 from repro.workloads.litmus_oracle import LITMUS_TESTS
 
 
@@ -47,6 +50,35 @@ class TestCheckers:
         text = format_report(report)
         assert "mp" in text and "sb" in text
         assert "ok" in text
+
+
+class TestSweep:
+    """One sweep loop serves every door; only the demonstration rule
+    differs between them."""
+
+    @pytest.fixture
+    def undemonstrated(self, monkeypatch):
+        # mp's first pad set never reaches (1, 0) under RELAXED.
+        mp = LITMUS_TESTS["mp"]
+        short = dataclasses.replace(mp, pad_sets=mp.pad_sets[:1])
+        monkeypatch.setitem(LITMUS_TESTS, "mp", short)
+
+    def test_missing_demo_fails_only_when_required(self, undemonstrated, capsys):
+        assert sweep(("relaxed",), ["mp"], require_demos=False) == 0
+        assert sweep(("relaxed",), ["mp"]) == 1
+        assert "MISSING" in capsys.readouterr().out
+
+    def test_doors_keep_their_exit_rules(self, undemonstrated, tmp_path, capsys):
+        litmus = ["litmus", "--model", "relaxed", "--program", "mp"]
+        assert main(litmus) == 0
+        assert main(litmus + ["--check"]) == 1
+        spec = tmp_path / "l.yaml"
+        spec.write_text(
+            "campaign: 1\nname: l\nkind: litmus\nprograms: [mp]\nmodels: [relaxed]\n"
+        )
+        assert main(["campaign", "run", str(spec)]) == 1
+        assert _check_litmus() == 1
+        assert "litmus gate failed" in capsys.readouterr().out
 
 
 class TestLitmusCLI:

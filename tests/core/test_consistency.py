@@ -18,6 +18,7 @@ from repro.core.dyninstr import DynInstr
 from repro.isa.instructions import LINE_BYTES, atomic, load, store
 from repro.sim.multicore import simulate
 from repro.workloads import litmus
+from repro.workloads.litmus_oracle import LITMUS_TESTS, observed_outcome
 
 TSO = make_model(ConsistencyKind.TSO)
 RELAXED = make_model(ConsistencyKind.RELAXED)
@@ -188,29 +189,23 @@ class TestEndToEnd:
 
     def test_relaxed_reaches_tso_forbidden_mp_outcome(self):
         params = SystemParams.quick().with_consistency_model("relaxed")
-        prog = litmus.message_passing(8, 0, 20)
+        prog = LITMUS_TESTS["mp"].program(8, 0, 20)
         res = simulate(params, prog, sanitize=True)
-        flag = res.load_values[1][prog.metadata["flag_seq"]]
-        data = res.load_values[1][prog.metadata["data_seq"]]
-        assert (flag, data) == (1, 0)
+        assert observed_outcome(prog, res.load_values) == (1, 0)
 
     def test_tso_never_shows_it_on_the_same_program(self):
         params = SystemParams.quick()
         for pads in ((8, 0, 20), (16, 0, 20), (24, 0, 40)):
-            prog = litmus.message_passing(*pads)
+            prog = LITMUS_TESTS["mp"].program(*pads)
             res = simulate(params, prog, sanitize=True)
-            flag = res.load_values[1][prog.metadata["flag_seq"]]
-            data = res.load_values[1][prog.metadata["data_seq"]]
-            assert (flag, data) != (1, 0), pads
+            assert observed_outcome(prog, res.load_values) != (1, 0), pads
 
     def test_fences_forbid_it_again_under_relaxed(self):
         params = SystemParams.quick().with_consistency_model("relaxed")
         for pads in ((8, 0, 20), (16, 0, 20), (24, 0, 40), (0, 0, 0)):
-            prog = litmus.message_passing_fenced(*pads)
+            prog = LITMUS_TESTS["mp+fences"].program(*pads)
             res = simulate(params, prog, sanitize=True)
-            flag = res.load_values[1][prog.metadata["flag_seq"]]
-            data = res.load_values[1][prog.metadata["data_seq"]]
-            assert (flag, data) != (1, 0), pads
+            assert observed_outcome(prog, res.load_values) != (1, 0), pads
 
     @pytest.mark.parametrize("mode", ["eager", "lazy", "row", "far"])
     def test_atomic_counter_exact_under_relaxed(self, mode):

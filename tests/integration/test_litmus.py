@@ -4,11 +4,10 @@ import pytest
 
 from repro.common.params import AtomicMode, SystemParams
 from repro.sim.multicore import simulate
-from repro.workloads.litmus import (
-    message_passing,
-    same_core_forwarding,
-    store_buffering,
-)
+from repro.workloads.litmus import same_core_forwarding
+from repro.workloads.litmus_oracle import LITMUS_TESTS, observed_outcome
+
+MP, SB = LITMUS_TESTS["mp"], LITMUS_TESTS["sb"]
 
 PADS = [0, 1, 2, 5, 9, 14, 23, 40]
 
@@ -24,23 +23,21 @@ class TestMessagePassing:
         """flag==1 && data==0 violates TSO; the LQ invalidation snoop must
         prevent it across all skews."""
         for pad0 in (0, 3, 11):
-            prog = message_passing(pad0=pad0, pad1=pad1)
+            prog = MP.program(pad0, pad1)
             res = run(prog)
-            flag = res.load_values[1][prog.metadata["flag_seq"]]
-            data = res.load_values[1][prog.metadata["data_seq"]]
+            flag, data = observed_outcome(prog, res.load_values)
             assert not (flag == 1 and data == 0), (
                 f"TSO violation at pads=({pad0},{pad1}): flag=1, data=0"
             )
 
     def test_eventual_visibility(self):
         """With the reader long-delayed, both stores must be visible."""
-        prog = message_passing(pad0=0, pad1=300)
+        prog = MP.program(0, 300)
         res = run(prog)
-        assert res.load_values[1][prog.metadata["flag_seq"]] == 1
-        assert res.load_values[1][prog.metadata["data_seq"]] == 1
+        assert observed_outcome(prog, res.load_values) == (1, 1)
 
     def test_final_memory_state(self):
-        prog = message_passing()
+        prog = MP.program()
         res = run(prog)
         snap = res.memory_snapshot
         assert snap.get(100 * 64) == 1
@@ -52,22 +49,18 @@ class TestStoreBuffering:
     def test_outcomes_within_tso_set(self, pad):
         """All four outcomes are legal under TSO (including 0,0 — that is
         what distinguishes TSO from SC); just check legality and progress."""
-        prog = store_buffering(pad0=pad, pad1=0)
+        prog = SB.program(pad, 0)
         res = run(prog)
-        s0, s1 = prog.metadata["load_seq"]
-        r0 = res.load_values[0][s0]
-        r1 = res.load_values[1][s1]
-        assert (r0, r1) in {(0, 0), (0, 1), (1, 0), (1, 1)}
+        assert observed_outcome(prog, res.load_values) in {(0, 0), (0, 1), (1, 0), (1, 1)}
 
     def test_relaxed_outcome_occurs(self):
         """Symmetric threads with store buffers should show r0==r1==0 for at
         least one skew — evidence the model is TSO, not SC."""
         seen = set()
         for pad in PADS:
-            prog = store_buffering(pad0=pad, pad1=pad)
+            prog = SB.program(pad, pad)
             res = run(prog)
-            s0, s1 = prog.metadata["load_seq"]
-            seen.add((res.load_values[0][s0], res.load_values[1][s1]))
+            seen.add(observed_outcome(prog, res.load_values))
         assert (0, 0) in seen
 
 

@@ -10,13 +10,14 @@ from repro.isa.serialize import (
     program_to_dict,
     save_program,
 )
-from repro.workloads.litmus import atomic_counter, message_passing
+from repro.workloads.litmus import atomic_counter
+from repro.workloads.litmus_oracle import LITMUS_TESTS
 from repro.workloads.synthetic import build_program
 
 
 class TestRoundTrip:
     def test_litmus_round_trip(self, tmp_path):
-        prog = message_passing(pad0=3)
+        prog = LITMUS_TESTS["mp"].program(3)
         path = save_program(prog, tmp_path / "mp.json")
         clone = load_program(path)
         assert clone.name == prog.name
@@ -61,7 +62,7 @@ class TestRoundTrip:
 
 class TestFormat:
     def test_version_check(self):
-        prog = message_passing()
+        prog = LITMUS_TESTS["mp"].program()
         payload = program_to_dict(prog)
         payload["format_version"] = 99
         with pytest.raises(ValueError, match="format version"):
@@ -75,7 +76,7 @@ class TestFormat:
         assert record[5] == AtomicOp.FAA.value
 
     def test_validation_on_load(self):
-        prog = message_passing()
+        prog = LITMUS_TESTS["mp"].program()
         payload = program_to_dict(prog)
         # Corrupt a dependency to point forward.
         payload["threads"][0]["instructions"][0][2] = [5]

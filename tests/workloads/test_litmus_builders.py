@@ -5,21 +5,22 @@ from repro.isa.instructions import AtomicOp, InstrClass
 from repro.workloads.litmus import (
     atomic_counter,
     atomic_exchange_ring,
-    message_passing,
     same_core_forwarding,
-    store_buffering,
 )
+from repro.workloads.litmus_oracle import LITMUS_TESTS
+
+MP, SB = LITMUS_TESTS["mp"], LITMUS_TESTS["sb"]
 
 
 class TestPadding:
     def test_pad_prefixes_alu_chain(self):
-        prog = message_passing(pad0=5)
+        prog = MP.program(5)
         t0 = prog.traces[0]
         assert all(t0[i].cls is InstrClass.ALU for i in range(5))
         assert t0[5].cls is InstrClass.STORE
 
     def test_pad_chain_is_serial(self):
-        prog = message_passing(pad0=4)
+        prog = MP.program(4)
         t0 = prog.traces[0]
         for i in range(1, 4):
             assert t0[i].src_deps == (i - 1,)
@@ -29,19 +30,18 @@ class TestPadding:
         prog.validate()
 
     def test_metadata_seq_offsets(self):
-        prog = message_passing(pad1=7)
-        assert prog.metadata["flag_seq"] == 7
-        assert prog.metadata["data_seq"] == 8
+        prog = MP.program(0, 7)
+        assert prog.metadata["observed"] == ((1, 7), (1, 8))
 
 
 class TestBuilders:
     def test_mp_two_threads(self):
-        prog = message_passing()
+        prog = MP.program()
         assert prog.num_threads == 2
         prog.validate()
 
     def test_sb_symmetric(self):
-        prog = store_buffering()
+        prog = SB.program()
         for trace in prog.traces:
             assert trace.count(InstrClass.STORE) == 1
             assert trace.count(InstrClass.LOAD) == 1
@@ -71,8 +71,8 @@ class TestBuilders:
 
     def test_all_builders_validate(self):
         for prog in (
-            message_passing(3, 5),
-            store_buffering(2, 2),
+            MP.program(3, 5),
+            SB.program(2, 2),
             atomic_counter(4, 3),
             atomic_exchange_ring(2, 2),
             same_core_forwarding(4),
