@@ -37,8 +37,6 @@ from repro.analysis.runner import ExperimentScale, RunMetrics, mean_over_seeds
 from repro.common.params import AtomicMode, SystemParams
 from repro.common.stats import geomean
 from repro.row.cost import row_hardware_cost
-from repro.sim.multicore import simulate
-from repro.workloads.microbench import build_microbench
 
 
 def _service():
@@ -59,7 +57,7 @@ def _cells(campaign, scale: ExperimentScale, runner: Runner) -> Cells:
     cells = list(planner.iter_cells(campaign, scale))
     results: Cells = {}
     for cell, metrics in zip(cells, runner.run_many([c.spec for c in cells])):
-        key = (cell.grid_index, cell.workload_index, cell.config_name)
+        key = (cell["grid"], cell["workload"], cell["config"])
         results.setdefault(key, []).append(metrics)
     return results
 
@@ -190,22 +188,19 @@ MACHINE_PARAMS = {
 
 
 def microbench_table(campaign, scale: ExperimentScale, runner: Runner) -> FigureData:
-    # Microbenchmark programs are built directly (not from a workload
-    # profile), so this campaign is kind: microbench — it runs in-process
-    # and is not disk-cached.
     planner, _ = _service()
     fig = FigureData(
         "Fig.2",
         "Microbenchmark cycles/iteration: RMW x {plain,lock} x {nofence,mfence}",
         ["machine", "op", "variant", "cycles_per_iter"],
     )
-    jobs = planner.expand_microbench(campaign, scale)
-    params = {machine: MACHINE_PARAMS[machine]() for machine in campaign.machines}
-    for job in jobs:
-        program = build_microbench(job.op, job.variant, iterations=job.iterations)
-        result = simulate(params[job.machine], program)
+    cells = list(planner.iter_cells(campaign, scale))
+    for cell, metrics in zip(cells, runner.run_many([c.spec for c in cells])):
         fig.add_row(
-            job.machine, job.op.value, job.variant, result.cycles / job.iterations
+            cell["machine"],
+            cell["op"],
+            cell["variant"],
+            metrics.cycles / cell.spec.workload.iterations,
         )
     fig.notes.append(
         "expected shape: old-x86 lock ~2x plain (built-in fence), mfence adds"

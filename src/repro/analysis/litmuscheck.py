@@ -1,10 +1,14 @@
 """Cross-validate the timing simulator against the litmus oracle.
 
-For every registered litmus shape (:data:`repro.workloads.litmus_oracle.
-LITMUS_TESTS`) this module runs the full timing model over the shape's
-padding sweep under a consistency model, extracts the observation tuple
-from the committed load values, and checks it against the exhaustive
-interleaving enumeration for that model:
+A ``kind: litmus`` campaign expands (:func:`repro.service.planner.
+iter_cells`) into one cell per shape × consistency model × padding set of
+the registered litmus shapes (:data:`repro.workloads.litmus_oracle.
+LITMUS_TESTS`).  Each cell runs through the :class:`~repro.analysis.
+parallel.Runner` like any other campaign cell — with the runtime
+sanitizers on — and its :class:`~repro.analysis.runner.RunMetrics` carry
+the observation tuple the committed load values formed.  This module is
+the verdict over those outcomes, against the exhaustive interleaving
+enumeration for each model:
 
 * **Soundness** — every outcome the simulator produces must be in the
   oracle's allowed set.  A violation means the pipeline manufactured an
@@ -25,14 +29,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.common.params import ConsistencyKind, SystemParams
-from repro.sim.multicore import simulate
-from repro.workloads.litmus_oracle import (
-    LITMUS_TESTS,
-    LitmusTest,
-    allowed_outcomes,
-    observed_outcome,
-)
+from repro.analysis.parallel import Runner
+from repro.common.params import ConsistencyKind
+from repro.workloads.litmus_oracle import LITMUS_TESTS, allowed_outcomes
 
 
 @dataclass(frozen=True)
@@ -78,77 +77,49 @@ class LitmusReport:
         return [v for t in self.tests for v in t.violations]
 
 
-def check_test(
-    test: LitmusTest,
-    model: "ConsistencyKind | str",
-    params: SystemParams | None = None,
-    sanitize: bool = True,
-) -> TestReport:
-    """Sweep one shape's padding sets under ``model`` and compare every
-    simulator outcome with the oracle's allowed set."""
-    kind = ConsistencyKind.from_name(model)
-    base = params if params is not None else SystemParams.quick()
-    run_params = base.with_consistency_model(kind)
-    allowed = allowed_outcomes(test, kind)
-    report = TestReport(test=test.name, model=kind.value, allowed=allowed)
-    for pads in test.pad_sets:
-        program = test.program(*pads)
-        result = simulate(run_params, program, sanitize=sanitize)
-        outcome = observed_outcome(program, result.load_values)
-        report.outcomes.setdefault(outcome, pads)
-        if outcome not in allowed:
-            report.violations.append(
-                LitmusViolation(test.name, kind.value, pads, outcome)
-            )
-    if kind is ConsistencyKind.RELAXED and test.relaxed_only:
-        seen = frozenset(test.relaxed_only & set(report.outcomes))
-        report.demonstrated = seen
-        report.missing_demos = frozenset(test.relaxed_only - seen)
-    return report
+def check(campaign, runner: Runner | None = None) -> list[LitmusReport]:
+    """Run a litmus campaign's cells and judge them: one report per model,
+    its shapes in the campaign's order.  No ``runner`` means a fresh
+    memory-only one, so no disk cache can vouch for memory ordering."""
+    from repro.service.planner import iter_cells
 
-
-def check_model(
-    model: "ConsistencyKind | str",
-    tests: "list[str] | None" = None,
-    params: SystemParams | None = None,
-    sanitize: bool = True,
-) -> LitmusReport:
-    """Run every (or the named) litmus shapes under one model."""
-    kind = ConsistencyKind.from_name(model)
-    names = list(LITMUS_TESTS) if tests is None else list(tests)
-    report = LitmusReport(model=kind.value)
-    for name in names:
-        try:
+    cells = list(iter_cells(campaign))
+    runner = runner if runner is not None else Runner()
+    outcomes: dict[tuple[str, str], list] = {}
+    for cell, metrics in zip(cells, runner.run_many([c.spec for c in cells])):
+        key = (cell["program"], cell["model"])
+        outcomes.setdefault(key, []).append((cell["pads"], metrics.outcome))
+    reports = []
+    for model in campaign.models:
+        kind = ConsistencyKind.from_name(model)
+        report = LitmusReport(model=kind.value)
+        for name in campaign.programs:
             test = LITMUS_TESTS[name]
-        except KeyError:
-            raise ValueError(
-                f"unknown litmus program {name!r}; valid programs are "
-                + ", ".join(sorted(LITMUS_TESTS))
-            ) from None
-        report.tests.append(check_test(test, kind, params, sanitize))
-    return report
-
-
-def check_all(
-    models: tuple = (ConsistencyKind.TSO, ConsistencyKind.RELAXED),
-    tests: "list[str] | None" = None,
-    params: SystemParams | None = None,
-    sanitize: bool = True,
-) -> list:
-    """Cross-validate every model; the ``repro check`` litmus gate."""
-    return [check_model(m, tests, params, sanitize) for m in models]
+            allowed = allowed_outcomes(test, kind)
+            tr = TestReport(test=name, model=kind.value, allowed=allowed)
+            for pads, outcome in outcomes[name, model]:
+                tr.outcomes.setdefault(outcome, pads)
+                if outcome not in allowed:
+                    tr.violations.append(
+                        LitmusViolation(name, kind.value, pads, outcome)
+                    )
+            if kind is ConsistencyKind.RELAXED and test.relaxed_only:
+                seen = frozenset(test.relaxed_only & set(tr.outcomes))
+                tr.demonstrated = seen
+                tr.missing_demos = frozenset(test.relaxed_only - seen)
+            report.tests.append(tr)
+        reports.append(report)
+    return reports
 
 
 def sweep(
-    models: tuple = (ConsistencyKind.TSO, ConsistencyKind.RELAXED),
-    tests: "list[str] | None" = None,
-    require_demos: bool = True,
+    campaign, runner: Runner | None = None, require_demos: bool = True
 ) -> int:
     """Check and print every model's report; the exit code of each
     litmus door: 1 on an oracle violation or, with ``require_demos``, on
     a relaxed-only outcome the sweep never reached; else 0."""
     rc = 0
-    for report in check_all(models, tests):
+    for report in check(campaign, runner):
         print(format_report(report))
         if report.violations or (require_demos and not report.ok):
             rc = 1

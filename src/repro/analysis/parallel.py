@@ -39,6 +39,8 @@ from repro.common.params import SystemParams
 from repro.common.schema import CACHE_SCHEMA_VERSION
 from repro.common.stats import geomean
 from repro.sim.multicore import simulate
+from repro.workloads.litmus_oracle import LitmusCase, observed_outcome
+from repro.workloads.microbench import Microbench
 from repro.workloads.profiles import WorkloadProfile, get_profile
 from repro.workloads.synthetic import build_program, program_memo_stats
 
@@ -88,9 +90,14 @@ class RunSpec:
     soup: a spec is hashable (usable as a memo key), picklable (shippable
     to pool workers) and content-addressable (:meth:`content_hash` keys the
     on-disk cache).
+
+    ``workload`` is the program source: a :class:`WorkloadProfile` (a grid
+    cell, generated from the int fields), a :class:`Microbench` or a
+    :class:`LitmusCase`.  The last two fix their own program, so their int
+    fields are fixed (1 / iterations / 0, threads / 0 / 0).
     """
 
-    workload: WorkloadProfile
+    workload: WorkloadProfile | Microbench | LitmusCase
     params: SystemParams
     num_threads: int
     instructions_per_thread: int
@@ -172,13 +179,25 @@ def execute_spec(spec: RunSpec) -> RunMetrics:
     this cell's objects, not the retained programs — is collected on the
     way out.  A caller that runs with collection disabled keeps it
     disabled, and nothing is collected behind its back.
+
+    A litmus cell runs with the runtime sanitizers on and records the
+    outcome its observed loads committed.
     """
     gc_was_enabled = gc.isenabled()
     gc.disable()
     try:
-        return RunMetrics.from_result(
-            simulate(spec.params, build_program(*spec.program_key))
-        )
+        source = spec.workload
+        if isinstance(source, WorkloadProfile):
+            return RunMetrics.from_result(
+                simulate(spec.params, build_program(*spec.program_key))
+            )
+        program = source.program()
+        litmus = isinstance(source, LitmusCase)
+        result = simulate(spec.params, program, sanitize=litmus)
+        metrics = RunMetrics.from_result(result)
+        if litmus:
+            metrics.outcome = observed_outcome(program, result.load_values)
+        return metrics
     finally:
         if gc_was_enabled:
             gc.enable()

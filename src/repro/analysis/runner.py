@@ -136,6 +136,9 @@ class RunMetrics:
     # Per-phase total/count/min/max (schema v2).  Empty accumulators carry
     # null min/max — never Infinity, so strict (allow_nan=False) dumps work.
     breakdown_detail: dict[str, dict] = field(default_factory=dict)
+    #: A litmus cell's observed outcome; ``None`` (and absent from the
+    #: dict form) for every other program.
+    outcome: tuple[int, ...] | None = None
 
     @staticmethod
     def from_result(result: RunResult) -> "RunMetrics":
@@ -179,7 +182,7 @@ class RunMetrics:
     # -- stable serialization (the cache-file schema) ------------------
 
     def to_dict(self) -> dict:
-        return {
+        out = {
             "workload": self.workload,
             "cycles": self.cycles,
             "instructions": self.instructions,
@@ -198,16 +201,23 @@ class RunMetrics:
                 for phase, detail in self.breakdown_detail.items()
             },
         }
+        if self.outcome is not None:
+            out["outcome"] = list(self.outcome)
+        return out
 
     @classmethod
     def from_dict(cls, payload: dict) -> "RunMetrics":
         if not isinstance(payload, dict):
             raise ValueError(f"RunMetrics payload must be a dict, got {payload!r}")
-        names = [f.name for f in fields(cls)]
+        names = [f.name for f in fields(cls) if f.name != "outcome"]
         missing = [n for n in names if n not in payload]
         if missing:
             raise ValueError(f"RunMetrics payload missing fields: {missing}")
-        return cls(**{n: payload[n] for n in names})
+        outcome = payload.get("outcome")
+        return cls(
+            **{n: payload[n] for n in names},
+            outcome=None if outcome is None else tuple(outcome),
+        )
 
     def to_json(self) -> str:
         # allow_nan=False: a non-finite metric is a bug upstream (see the

@@ -445,7 +445,7 @@ def _check_campaigns() -> int:
             campaign = schema.load_campaign(path)
             if campaign.output.kind != "none":
                 outputs[path.stem] = campaign.output.id
-            jobs += len(planner.campaign_jobs(campaign))
+            jobs += len(planner.expand_campaign(campaign))
         except schema.CampaignError as exc:
             print(f"campaign gate failed: {path.name}: {exc}")
             return 1
@@ -504,11 +504,13 @@ def _check_campaigns() -> int:
 
 
 def _check_litmus() -> int:
-    """Cross-validate the simulator against the litmus oracle under
-    every consistency model (incl. the relaxed-only demonstrations)."""
+    """Cross-validate the simulator against the litmus oracle: the
+    committed ``campaigns/litmus.yaml`` (every shape under every model,
+    relaxed-only demonstrations required) through a memory-only Runner."""
     from repro.analysis.litmuscheck import sweep
+    from repro.service.schema import load_named_campaign
 
-    rc = sweep()
+    rc = sweep(load_named_campaign("litmus"))
     if rc:
         print(
             "litmus gate failed: the timing model reached an outcome the"
@@ -659,12 +661,6 @@ def cmd_serve(args) -> int:
     return 0
 
 
-def _campaign_output(campaign, scale, runner) -> None:
-    """Print the table the spec's ``output:`` names, over *its* cells."""
-    if campaign.output.kind != "none":
-        print(_render(campaign, scale, runner).render())
-
-
 def _campaign_run_remote(args) -> int:
     from repro.service.client import ServiceClient, ServiceError
 
@@ -707,7 +703,7 @@ def cmd_campaign(args) -> int:
         for path in args.specs:
             try:
                 campaign = schema.load_campaign(path)
-                jobs = len(planner.campaign_jobs(campaign))
+                jobs = len(planner.expand_campaign(campaign))
             except schema.CampaignError as exc:
                 raise UsageError(str(exc)) from exc
             rows.append([path, campaign.name, campaign.kind, jobs])
@@ -731,19 +727,6 @@ def cmd_campaign(args) -> int:
         scale = planner.campaign_scale(campaign, args.scale)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
-    if campaign.kind == "litmus":
-        from repro.analysis.litmuscheck import sweep
-
-        rc = sweep(campaign.models, list(campaign.programs))
-        _campaign_output(campaign, scale, None)
-        return rc
-    if campaign.kind == "microbench":
-        # One table shape fits these axes, whatever ``output:`` says.
-        try:
-            print(figures.microbench_table(campaign, scale, None).render())
-        except schema.CampaignError as exc:
-            raise UsageError(str(exc)) from exc
-        return 0
     runner = _runner(args)
     try:
         specs = planner.expand_campaign(campaign, scale)
@@ -753,14 +736,19 @@ def cmd_campaign(args) -> int:
         f"campaign {campaign.name}: {len(specs)} unique cells at scale"
         f" {scale.name}"
     )
-    if campaign.output.kind == "none":
+    rc = 0
+    if campaign.kind == "litmus":  # its output is the oracle's verdict
+        from repro.analysis.litmuscheck import sweep
+
+        rc = sweep(campaign, runner)
+    elif campaign.output.kind == "none":
         runner.run_many(specs)
     else:
         # The table's reader runs the cells itself, after checking that
         # the spec defines what it reads.
-        _campaign_output(campaign, scale, runner)
+        print(_render(campaign, scale, runner).render())
     print(f"repro: {runner.summary()}", file=sys.stderr)
-    return 0
+    return rc
 
 
 def cmd_client(args) -> int:
@@ -799,13 +787,19 @@ def cmd_client(args) -> int:
 
 
 def cmd_microbench(args) -> int:
-    params = figures.MACHINE_PARAMS[f"{args.machine}-x86"]()
-    rows = []
-    for op in (AtomicOp.FAA, AtomicOp.CAS, AtomicOp.SWAP):
-        for variant in VARIANTS:
-            program = build_microbench(op, variant, iterations=args.iterations)
-            result = simulate(params, program)
-            rows.append([op.value, variant, round(result.cycles / args.iterations, 2)])
+    """One machine's column of Fig. 2: the fig2 campaign narrowed to one
+    machine, through a memory-only Runner."""
+    import dataclasses
+
+    from repro.service.schema import load_named_campaign
+
+    campaign = dataclasses.replace(
+        load_named_campaign("fig2"),
+        machines=(f"{args.machine}-x86",),
+        iterations=args.iterations,
+    )
+    fig = figures.microbench_table(campaign, default_scale(), Runner())
+    rows = [[op, variant, round(cpi, 2)] for _, op, variant, cpi in fig.rows]
     print(
         render_table(
             f"fence microbenchmark on the {args.machine} machine",
@@ -823,19 +817,22 @@ def cmd_litmus(args) -> int:
     ``--check``, every relaxed-only outcome was demonstrated), 1 on a
     violation or missing demonstration, 2 on an unknown program/model.
     """
-    from repro.analysis.litmuscheck import sweep
-    from repro.workloads.litmus_oracle import LITMUS_TESTS
+    import dataclasses
 
-    models = args.model or ["tso", "relaxed"]
-    programs = args.program or None
-    if programs is not None:
-        unknown = sorted(set(programs) - set(LITMUS_TESTS))
-        if unknown:
-            raise UsageError(
-                f"unknown litmus program(s) {', '.join(unknown)}; valid:"
-                f" {', '.join(sorted(LITMUS_TESTS))}"
-            )
-    return sweep(models, programs, require_demos=args.check)
+    from repro.analysis.litmuscheck import sweep
+    from repro.service.schema import CampaignError, load_named_campaign
+
+    # The committed campaign, narrowed; check() runs it memory-only.
+    campaign = load_named_campaign("litmus")
+    campaign = dataclasses.replace(
+        campaign,
+        programs=tuple(args.program or campaign.programs),
+        models=tuple(args.model or campaign.models),
+    )
+    try:
+        return sweep(campaign, require_demos=args.check)
+    except CampaignError as exc:  # an unknown --program
+        raise UsageError(str(exc)) from exc
 
 
 def cmd_list(_args) -> int:
@@ -920,7 +917,7 @@ def cmd_sweep(args) -> int:
     # One flat job grid so --jobs fans the whole sweep out at once.
     runner.run_many([cell.spec for cell in cells])
     cycles = {
-        (cell.workload_index, cell.config_name, cell.seed):
+        (cell["workload"], cell["config"], cell["seed"]):
             runner.run(cell.spec).cycles
         for cell in cells
     }

@@ -5,9 +5,10 @@ This package provides:
 
 * :mod:`repro.service.schema` — the versioned declarative campaign format
   (YAML/JSON) with strict validation and round-trip dump/load;
-* :mod:`repro.service.planner` — expansion of a campaign into the
-  deduplicated :class:`~repro.analysis.parallel.RunSpec` grid (the one
-  grid-expansion helper shared by figures, sweep, validate and the
+* :mod:`repro.service.planner` — expansion of a campaign of any kind
+  (grid, microbenchmark, litmus) into its deduplicated
+  :class:`~repro.analysis.parallel.RunSpec` cells (the one expansion
+  helper shared by figures, the litmus check, sweep, validate and the
   service);
 * :mod:`repro.service.fabric` — the shard pool that executes submitted
   campaigns through a shared :class:`~repro.analysis.parallel.Runner`,
@@ -38,13 +39,10 @@ from repro.service.schema import (
 )
 from repro.service.planner import (
     CampaignCell,
-    LitmusJob,
     campaign_config_map,
     campaign_id,
     campaign_scale,
     expand_campaign,
-    expand_litmus,
-    expand_microbench,
     iter_cells,
 )
 from repro.service.fabric import CampaignRun, ShardPool
@@ -57,7 +55,6 @@ __all__ = [
     "CampaignRun",
     "ConfigSpec",
     "GridSpec",
-    "LitmusJob",
     "OutputSpec",
     "ServiceClient",
     "ServiceError",
@@ -69,8 +66,6 @@ __all__ = [
     "default_campaign_dir",
     "dump_campaign",
     "expand_campaign",
-    "expand_litmus",
-    "expand_microbench",
     "iter_cells",
     "load_campaign",
     "loads_campaign",

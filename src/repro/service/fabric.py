@@ -92,7 +92,10 @@ class CampaignRun:
         return self._finished.wait(timeout)
 
     def result_rows(self) -> list[dict]:
-        """One row per grid cell (labels + metrics), for clients."""
+        """One row per campaign cell, for clients: the cell's axes by
+        their campaign keys, ``workload`` the name of the program it ran
+        (a grid cell's in place of its workload index), then its spec
+        hash and metrics."""
         if self.state != "done":
             raise CampaignError(
                 f"campaign {self.id[:12]} is {self.state}, results are only"
@@ -103,10 +106,8 @@ class CampaignRun:
             metrics = self.metrics[cell.spec]
             rows.append(
                 {
-                    "grid": cell.grid_index,
+                    **dict(cell.axes),
                     "workload": metrics.workload,
-                    "config": cell.config_name,
-                    "seed": cell.seed,
                     "spec": cell.spec.content_hash(),
                     "metrics": metrics.to_dict(),
                 }
@@ -165,13 +166,7 @@ class ShardPool:
     def submit(
         self, campaign: Campaign, scale: ExperimentScale | str | None = None
     ) -> CampaignRun:
-        """Queue a campaign; idempotent on its content id."""
-        if campaign.kind != "grid":
-            raise CampaignError(
-                f"campaign {campaign.name!r} is kind={campaign.kind!r};"
-                " the service executes RunSpec grids"
-                " (run microbench campaigns offline: repro campaign run)"
-            )
+        """Queue a campaign of any kind; idempotent on its content id."""
         resolved_scale = campaign_scale(campaign, scale)
         cid = campaign_id(campaign, resolved_scale)
         cells = list(iter_cells(campaign, resolved_scale))

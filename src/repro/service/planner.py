@@ -1,11 +1,12 @@
-"""Campaign expansion: from declarative spec to deduplicated RunSpec grid.
+"""Campaign expansion: from declarative spec to deduplicated RunSpec cells.
 
-This is the *one* grid-expansion helper in the tree — figures, ablations,
-``repro sweep``, ``repro campaign run``, ``repro serve`` and the check
-gate all turn campaign axes into concrete
-:class:`~repro.analysis.parallel.RunSpec` jobs here, so "the committed
-spec file and the figure function expand to the same grid" is true by
-construction, not by parallel maintenance.
+This is the *one* expansion helper in the tree — figures, ablations,
+the litmus check, ``repro sweep``, ``repro campaign run``, ``repro
+serve`` and the check gate all turn campaign axes into concrete
+:class:`~repro.analysis.parallel.RunSpec` jobs here, whatever the
+campaign's kind, so "the committed spec file and the figure function
+expand to the same cells" is true by construction, not by parallel
+maintenance.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ import json
 from dataclasses import dataclass
 from typing import Iterator
 
+from repro.analysis.figures import MACHINE_PARAMS
 from repro.analysis.parallel import RunSpec
 from repro.analysis.runner import (
     ExperimentScale,
@@ -36,42 +38,30 @@ from repro.service.schema import (
     Campaign,
     CampaignError,
     ConfigSpec,
-    GridSpec,
     WorkloadSpec,
     campaign_payload,
 )
+from repro.workloads.litmus_oracle import LITMUS_TESTS
+from repro.workloads.microbench import Microbench
 from repro.workloads.profiles import WorkloadProfile, get_profile
 
 
 @dataclass(frozen=True)
 class CampaignCell:
-    """One fully resolved grid point, with its axis labels kept around."""
+    """One resolved campaign point: the RunSpec that runs it and its place
+    on the campaign's axes, as ``(key, value)`` pairs in axis order.
 
-    grid_index: int
-    workload_index: int
-    workload: str | WorkloadProfile  # what runner.run_seeds/... accept
-    config_name: str
-    seed: int
+    A grid cell's axes are ``grid``, ``workload``, ``config`` and
+    ``seed`` — the workload by its index in the grid, since two entries
+    may share a label; a microbenchmark cell's are ``machine``, ``op`` and
+    ``variant``; a litmus cell's are ``program``, ``model`` and ``pads``.
+    """
+
+    axes: tuple[tuple[str, object], ...]
     spec: RunSpec
 
-
-@dataclass(frozen=True)
-class MicrobenchJob:
-    """One resolved Fig. 2 microbenchmark point."""
-
-    machine: str
-    op: AtomicOp
-    variant: str
-    iterations: int
-
-
-@dataclass(frozen=True)
-class LitmusJob:
-    """One resolved litmus sweep point: program × model × padding args."""
-
-    program: str
-    model: str
-    pads: tuple[int, ...]
+    def __getitem__(self, axis: str) -> object:
+        return dict(self.axes)[axis]
 
 
 # ---------------------------------------------------------------------------
@@ -169,20 +159,6 @@ def resolve_config(spec: ConfigSpec, base: SystemParams) -> SystemParams:
     return params
 
 
-def _grid_seeds(grid: GridSpec, scale: ExperimentScale) -> tuple[int, ...]:
-    return grid.seeds if grid.seeds is not None else scale.seeds
-
-
-def _grid_threads(grid: GridSpec, scale: ExperimentScale) -> int:
-    return grid.num_threads if grid.num_threads is not None else scale.num_threads
-
-
-def _grid_instructions(grid: GridSpec, scale: ExperimentScale) -> int:
-    if grid.instructions_per_thread is not None:
-        return grid.instructions_per_thread
-    return scale.instructions_per_thread
-
-
 # ---------------------------------------------------------------------------
 # Expansion
 # ---------------------------------------------------------------------------
@@ -191,20 +167,30 @@ def _grid_instructions(grid: GridSpec, scale: ExperimentScale) -> int:
 def iter_cells(
     campaign: Campaign, scale: ExperimentScale | str | None = None
 ) -> Iterator[CampaignCell]:
-    """Every grid point (duplicates included), in deterministic
-    workload-major, config-minor, seed-innermost order — the same order
-    ``RunSpec.grid`` used."""
-    if campaign.kind != "grid":
-        raise CampaignError(
-            f"campaign {campaign.name!r} is kind={campaign.kind!r},"
-            " not a RunSpec grid"
-        )
+    """Every point of the campaign (duplicates included), in deterministic
+    order: a grid workload-major, config-minor, seed-innermost — the same
+    order ``RunSpec.grid`` used; a microbenchmark machine × op × variant;
+    a litmus sweep program × model × pad set."""
     resolved_scale = campaign_scale(campaign, scale)
-    base = campaign_base_params(campaign, resolved_scale)
+    if campaign.kind == "microbench":
+        yield from _microbench_cells(campaign, resolved_scale)
+    elif campaign.kind == "litmus":
+        yield from _litmus_cells(campaign)
+    else:
+        yield from _grid_cells(campaign, resolved_scale)
+
+
+def _grid_cells(
+    campaign: Campaign, scale: ExperimentScale
+) -> Iterator[CampaignCell]:
+    base = campaign_base_params(campaign, scale)
     for grid_index, grid in enumerate(campaign.grids):
-        seeds = _grid_seeds(grid, resolved_scale)
-        threads = _grid_threads(grid, resolved_scale)
-        instructions = _grid_instructions(grid, resolved_scale)
+        # A grid's own seeds/threads/length win over the scale's.
+        seeds = scale.seeds if grid.seeds is None else grid.seeds
+        threads = scale.num_threads if grid.num_threads is None else grid.num_threads
+        instructions = grid.instructions_per_thread
+        if instructions is None:
+            instructions = scale.instructions_per_thread
         configs = [(c.name, resolve_config(c, base)) for c in grid.configs]
         for workload_index, wspec in enumerate(grid.workloads):
             workload = resolve_workload(wspec)
@@ -214,11 +200,12 @@ def iter_cells(
             for config_name, params in configs:
                 for seed in seeds:
                     yield CampaignCell(
-                        grid_index=grid_index,
-                        workload_index=workload_index,
-                        workload=workload,
-                        config_name=config_name,
-                        seed=seed,
+                        axes=(
+                            ("grid", grid_index),
+                            ("workload", workload_index),
+                            ("config", config_name),
+                            ("seed", seed),
+                        ),
                         spec=RunSpec(
                             workload=profile,
                             params=params,
@@ -229,10 +216,70 @@ def iter_cells(
                     )
 
 
+def _microbench_cells(
+    campaign: Campaign, scale: ExperimentScale
+) -> Iterator[CampaignCell]:
+    """Each machine model of :data:`MACHINE_PARAMS` × op × variant."""
+    iterations = campaign.iterations
+    if isinstance(iterations, dict):
+        try:
+            iterations = iterations[scale.name]
+        except KeyError:
+            raise CampaignError(
+                f"campaign {campaign.name!r}: no iterations entry for scale"
+                f" {scale.name!r}"
+            ) from None
+    if iterations is None:
+        iterations = scale.instructions_per_thread
+    iterations = int(iterations)
+    for machine in campaign.machines:
+        params = MACHINE_PARAMS[machine]()
+        for op in campaign.ops:
+            for variant in campaign.variants:
+                yield CampaignCell(
+                    axes=(("machine", machine), ("op", op), ("variant", variant)),
+                    spec=RunSpec(
+                        workload=Microbench(AtomicOp(op), variant, iterations),
+                        params=params,
+                        num_threads=1,
+                        instructions_per_thread=iterations,
+                        seed=0,
+                    ),
+                )
+
+
+def _litmus_cells(campaign: Campaign) -> Iterator[CampaignCell]:
+    """Each shape's pad sets under each model, on the ``quick`` machine
+    whatever the campaign's base or scale."""
+    base = SystemParams.quick()
+    for program in campaign.programs:
+        try:
+            test = LITMUS_TESTS[program]
+        except KeyError:
+            raise CampaignError(
+                f"campaign {campaign.name!r}: unknown litmus program"
+                f" {program!r}; valid: {', '.join(sorted(LITMUS_TESTS))}"
+            ) from None
+        for model in campaign.models:
+            params = base.with_consistency_model(model)
+            for pads in test.pad_sets:
+                yield CampaignCell(
+                    axes=(("program", program), ("model", model), ("pads", pads)),
+                    spec=RunSpec(
+                        workload=test.case(*pads),
+                        params=params,
+                        num_threads=len(test.threads),
+                        instructions_per_thread=0,
+                        seed=0,
+                    ),
+                )
+
+
 def expand_campaign(
     campaign: Campaign, scale: ExperimentScale | str | None = None
 ) -> list[RunSpec]:
-    """The campaign's unique job list, input order preserved."""
+    """The campaign's unique job list, input order preserved — for any
+    kind of campaign."""
     seen: set[RunSpec] = set()
     specs: list[RunSpec] = []
     for cell in iter_cells(campaign, scale):
@@ -261,79 +308,6 @@ def campaign_workloads(
 ) -> list[str | WorkloadProfile]:
     """The resolved workload axis of one grid (names or profiles)."""
     return [resolve_workload(w) for w in campaign.grids[grid].workloads]
-
-
-def expand_microbench(
-    campaign: Campaign, scale: ExperimentScale | str | None = None
-) -> list[MicrobenchJob]:
-    """The (machine × op × variant) jobs of a ``kind: microbench`` campaign."""
-    if campaign.kind != "microbench":
-        raise CampaignError(
-            f"campaign {campaign.name!r} is kind={campaign.kind!r},"
-            " not a microbenchmark"
-        )
-    resolved_scale = campaign_scale(campaign, scale)
-    iterations = campaign.iterations
-    if isinstance(iterations, dict):
-        try:
-            iterations = iterations[resolved_scale.name]
-        except KeyError:
-            raise CampaignError(
-                f"campaign {campaign.name!r}: no iterations entry for scale"
-                f" {resolved_scale.name!r}"
-            ) from None
-    if iterations is None:
-        iterations = resolved_scale.instructions_per_thread
-    return [
-        MicrobenchJob(
-            machine=machine,
-            op=AtomicOp(op),
-            variant=variant,
-            iterations=int(iterations),
-        )
-        for machine in campaign.machines
-        for op in campaign.ops
-        for variant in campaign.variants
-    ]
-
-
-def expand_litmus(campaign: Campaign) -> list[LitmusJob]:
-    """The (program × model × pad-set) jobs of a ``kind: litmus``
-    campaign — what :mod:`repro.analysis.litmuscheck` sweeps."""
-    from repro.workloads.litmus_oracle import LITMUS_TESTS
-
-    if campaign.kind != "litmus":
-        raise CampaignError(
-            f"campaign {campaign.name!r} is kind={campaign.kind!r},"
-            " not a litmus sweep"
-        )
-    jobs = []
-    for program in campaign.programs:
-        try:
-            test = LITMUS_TESTS[program]
-        except KeyError:
-            raise CampaignError(
-                f"campaign {campaign.name!r}: unknown litmus program"
-                f" {program!r}"
-            ) from None
-        for model in campaign.models:
-            for pads in test.pad_sets:
-                jobs.append(
-                    LitmusJob(program=program, model=model, pads=tuple(pads))
-                )
-    return jobs
-
-
-def campaign_jobs(
-    campaign: Campaign, scale: ExperimentScale | str | None = None
-) -> list:
-    """The unique jobs of a campaign of any kind: its ``RunSpec`` grid,
-    its microbenchmark points or its litmus points."""
-    if campaign.kind == "microbench":
-        return expand_microbench(campaign, scale)
-    if campaign.kind == "litmus":
-        return expand_litmus(campaign)
-    return expand_campaign(campaign, scale)
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,7 @@ from repro.workloads.inspect import (
     analyze_trace,
     shared_line_overlap,
 )
-from repro.workloads.microbench import VARIANTS, build_microbench, cycles_per_iteration
+from repro.workloads.microbench import VARIANTS, build_microbench
 from repro.workloads.profiles import (
     ATOMIC_INTENSIVE,
     FIGURE_ORDER,
@@ -37,7 +37,6 @@ __all__ = [
     "shared_line_overlap",
     "build_program",
     "clear_program_memo",
-    "cycles_per_iteration",
     "get_profile",
     "program_memo_stats",
 ]

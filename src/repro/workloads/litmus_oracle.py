@@ -110,41 +110,26 @@ def rmw(op: AtomicOp, addr: int, value: int = 1) -> Op:
 
 
 @dataclass(frozen=True)
-class LitmusTest:
-    """One named litmus shape: oracle skeleton + sweep + tags.
-
-    The skeleton (``threads``) is the only definition of the shape:
-    :meth:`program` compiles it into the simulator program.
-    ``observed`` indexes the ops whose final register values form the
-    outcome tuple, as ``(thread, op_index)`` pairs in outcome order.
-    ``forbidden`` is the documentation tag: the classically forbidden
-    outcome(s) per model, cross-checked against the enumeration by the
-    test suite (the oracle is the ground truth; the tag is the
-    human-readable claim).  ``pad_sets`` are the :meth:`program`
-    arguments the simulator cross-validation sweeps; they include
-    combinations empirically known to reach every ``relaxed_only``
-    outcome under RELAXED.  ``pc_bases`` overrides the per-thread PC
-    base ``0x100 * (thread + 1)``.
-    """
+class LitmusCase:
+    """A shape at one pad set: a litmus campaign cell's program source
+    (see ``RunSpec``).  It holds all the compiled program depends on, so
+    a cell's content hash moves with any edit to the skeleton."""
 
     name: str
-    description: str
     threads: tuple[tuple[Op, ...], ...]
     observed: tuple[tuple[int, int], ...]
-    forbidden: dict[ConsistencyKind, frozenset[tuple[int, ...]]]
-    pad_sets: tuple[tuple[int, ...], ...]
-    relaxed_only: frozenset[tuple[int, ...]] = field(default_factory=frozenset)
-    pc_bases: tuple[int, ...] = ()
+    pc_bases: tuple[int, ...]
+    pads: tuple[int, ...]
 
-    def program(self, *pad_set: int) -> Program:
-        """Compile the skeleton for one pad set: an ALU-padding length per
-        thread (missing ones are 0), then an optional ``obs_delay``.
-        Memory op *k* of thread *t* sits at PC ``base_t + 4k``, a fence 2
-        past the op before it; ``metadata["observed"]`` holds
-        :attr:`observed` as ``(thread, seq)`` pairs."""
+    def program(self) -> Program:
+        """Compile the skeleton: an ALU-padding length per thread (missing
+        ones are 0), then an optional ``obs_delay``.  Memory op *k* of
+        thread *t* sits at PC ``base_t + 4k``, a fence 2 past the op
+        before it; ``metadata["observed"]`` holds :attr:`observed` as
+        ``(thread, seq)`` pairs."""
         n = len(self.threads)
-        pads = (pad_set + (0,) * n)[:n]
-        obs_delay = pad_set[n] if len(pad_set) > n else 0
+        pads = (self.pads + (0,) * n)[:n]
+        obs_delay = self.pads[n] if len(self.pads) > n else 0
         traces, seqs = [], []
         for tid, ops in enumerate(self.threads):
             base = self.pc_bases[tid] if self.pc_bases else 0x100 * (tid + 1)
@@ -173,6 +158,42 @@ class LitmusTest:
         )
 
 
+@dataclass(frozen=True)
+class LitmusTest:
+    """One named litmus shape: oracle skeleton + sweep + tags.
+
+    The skeleton (``threads``) is the only definition of the shape:
+    :meth:`program` compiles it into the simulator program.
+    ``observed`` indexes the ops whose final register values form the
+    outcome tuple, as ``(thread, op_index)`` pairs in outcome order.
+    ``forbidden`` is the documentation tag: the classically forbidden
+    outcome(s) per model, cross-checked against the enumeration by the
+    test suite (the oracle is the ground truth; the tag is the
+    human-readable claim).  ``pad_sets`` are the :meth:`program`
+    arguments the simulator cross-validation sweeps; they include
+    combinations empirically known to reach every ``relaxed_only``
+    outcome under RELAXED.  ``pc_bases`` overrides the per-thread PC
+    base ``0x100 * (thread + 1)``.
+    """
+
+    name: str
+    threads: tuple[tuple[Op, ...], ...]
+    observed: tuple[tuple[int, int], ...]
+    forbidden: dict[ConsistencyKind, frozenset[tuple[int, ...]]]
+    pad_sets: tuple[tuple[int, ...], ...]
+    relaxed_only: frozenset[tuple[int, ...]] = field(default_factory=frozenset)
+    pc_bases: tuple[int, ...] = ()
+
+    def case(self, *pad_set: int) -> LitmusCase:
+        """The shape at one pad set (see :meth:`LitmusCase.program`)."""
+        return LitmusCase(
+            self.name, self.threads, self.observed, self.pc_bases, pad_set
+        )
+
+    def program(self, *pad_set: int) -> Program:
+        return self.case(*pad_set).program()
+
+
 def _pads_2(*values: int) -> tuple[tuple[int, ...], ...]:
     return tuple((a, b) for a in values for b in values)
 
@@ -180,13 +201,17 @@ def _pads_2(*values: int) -> tuple[tuple[int, ...], ...]:
 X, Y = litmus.X_ADDR, litmus.Y_ADDR
 Z0, Z1 = 400 * LINE_BYTES, 500 * LINE_BYTES  # private RMW lines
 
-#: (pad0, pad1, obs_delay): the last three reach MP's (1, 0) under RELAXED.
+#: (pad0, pad1, obs_delay).  A late writer (40, 0, 0) or reader
+#: (0, 300, 0) overlaps the two threads; the last three reach MP's
+#: (1, 0) under RELAXED.
 _MP_PADS = (
     (0, 0, 0),
     (2, 0, 0),
     (0, 2, 0),
     (4, 4, 0),
     (16, 16, 0),
+    (40, 0, 0),
+    (0, 300, 0),
     (8, 0, 20),
     (16, 0, 20),
     (24, 0, 40),
@@ -195,7 +220,6 @@ _MP_PADS = (
 LITMUS_TESTS: dict[str, LitmusTest] = {
     "mp": LitmusTest(
         name="mp",
-        description="message passing: stores data then flag / loads flag then data",
         threads=((st(X, 1), st(Y, 1)), (ld(Y, delayed=True), ld(X))),
         observed=((1, 0), (1, 1)),  # (flag, data)
         forbidden={
@@ -207,7 +231,6 @@ LITMUS_TESTS: dict[str, LitmusTest] = {
     ),
     "mp+fences": LitmusTest(
         name="mp+fences",
-        description="message passing with MFENCEs: forbidden outcome restored",
         threads=(
             (st(X, 1), fence(), st(Y, 1)),
             (ld(Y, delayed=True), fence(), ld(X)),
@@ -221,6 +244,8 @@ LITMUS_TESTS: dict[str, LitmusTest] = {
             (0, 0, 0),
             (2, 0, 0),
             (4, 4, 0),
+            (40, 0, 0),
+            (0, 300, 0),
             (8, 0, 20),
             (16, 0, 20),
             (24, 0, 40),
@@ -228,7 +253,6 @@ LITMUS_TESTS: dict[str, LitmusTest] = {
     ),
     "sb": LitmusTest(
         name="sb",
-        description="store buffering: both loads may read 0 under TSO already",
         threads=((st(X, 1), ld(Y)), (st(Y, 1), ld(X))),
         observed=((0, 1), (1, 1)),
         forbidden={
@@ -239,7 +263,6 @@ LITMUS_TESTS: dict[str, LitmusTest] = {
     ),
     "sb+fences": LitmusTest(
         name="sb+fences",
-        description="store buffering with MFENCEs: (0, 0) forbidden (SC restored)",
         threads=(
             (st(X, 1), fence(), ld(Y)),
             (st(Y, 1), fence(), ld(X)),
@@ -253,7 +276,6 @@ LITMUS_TESTS: dict[str, LitmusTest] = {
     ),
     "lb": LitmusTest(
         name="lb",
-        description="load buffering: loads then cross-stores; (1, 1) is the weak outcome",
         threads=((ld(X), st(Y, 1)), (ld(Y), st(X, 1))),
         observed=((0, 0), (1, 0)),
         forbidden={
@@ -264,7 +286,6 @@ LITMUS_TESTS: dict[str, LitmusTest] = {
     ),
     "iriw": LitmusTest(
         name="iriw",
-        description="independent reads of independent writes: readers must agree under TSO",
         threads=(
             (st(X, 1),),
             (st(Y, 1),),
@@ -291,7 +312,6 @@ LITMUS_TESTS: dict[str, LitmusTest] = {
     ),
     "mp+swap": LitmusTest(
         name="mp+swap",
-        description="message passing, flag set by a SWAP: the locked RMW drains the SB",
         threads=(
             (st(X, 1), rmw(AtomicOp.SWAP, Y, 1)),
             (ld(Y, delayed=True), ld(X)),
@@ -306,7 +326,6 @@ LITMUS_TESTS: dict[str, LitmusTest] = {
     ),
     "sb+rmw": LitmusTest(
         name="sb+rmw",
-        description="store buffering, FAA before each load: (0, 0) forbidden under TSO",
         threads=(
             (st(X, 1), rmw(AtomicOp.FAA, Z0), ld(Y)),
             (st(Y, 1), rmw(AtomicOp.FAA, Z1), ld(X)),

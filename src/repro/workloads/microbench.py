@@ -19,6 +19,8 @@ recent (Coffee Lake-class) processor.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 from repro.common.rng import make_rng
 from repro.isa.instructions import (
     LINE_BYTES,
@@ -130,5 +132,17 @@ def build_microbench(
     return program
 
 
-def cycles_per_iteration(cycles: int, iterations: int) -> float:
-    return cycles / iterations
+@dataclass(frozen=True)
+class Microbench:
+    """A Fig. 2 campaign cell's program source (see ``RunSpec``)."""
+
+    op: AtomicOp
+    variant: str
+    iterations: int
+
+    @property
+    def name(self) -> str:
+        return f"microbench-{self.op.value}-{self.variant}"
+
+    def program(self) -> Program:
+        return build_microbench(self.op, self.variant, self.iterations)

@@ -5,51 +5,84 @@ import dataclasses
 
 import pytest
 
-from repro.analysis.litmuscheck import (
-    check_all,
-    check_model,
-    check_test,
-    format_report,
-    sweep,
-)
+from repro.analysis.litmuscheck import check, format_report, sweep
+from repro.analysis.parallel import Runner
+from repro.analysis.runner import RunMetrics
 from repro.cli import UsageError, _check_litmus, main
-from repro.workloads.litmus_oracle import LITMUS_TESTS
+from repro.service.schema import load_named_campaign
+from repro.workloads.litmus_oracle import LITMUS_TESTS, allowed_outcomes
+
+LITMUS = load_named_campaign("litmus")
+
+
+def litmus(models=None, programs=None):
+    """The committed litmus campaign, narrowed to some models/programs."""
+    campaign = LITMUS
+    if models is not None:
+        campaign = dataclasses.replace(campaign, models=tuple(models))
+    if programs is not None:
+        campaign = dataclasses.replace(campaign, programs=tuple(programs))
+    return campaign
+
+
+@pytest.fixture(scope="module")
+def runner():
+    """One memory-only Runner per module: each cell simulates once."""
+    return Runner()
 
 
 class TestCheckers:
-    def test_tso_simulator_within_oracle(self):
-        report = check_model("tso")
+    def test_tso_simulator_within_oracle(self, runner):
+        [report] = check(litmus(models=["tso"]), runner)
         assert report.ok
         assert not report.violations
         assert {r.test for r in report.tests} == set(LITMUS_TESTS)
 
-    def test_relaxed_within_oracle_and_demonstrates(self):
-        report = check_model("relaxed")
+    def test_relaxed_within_oracle_and_demonstrates(self, runner):
+        [report] = check(litmus(models=["relaxed"]), runner)
         assert report.ok
         for tr in report.tests:
             if LITMUS_TESTS[tr.test].relaxed_only:
                 assert tr.demonstrated, tr.test
                 assert not tr.missing_demos, tr.test
 
-    def test_check_all_covers_both_models(self):
-        reports = check_all()
+    def test_check_all_covers_both_models(self, runner):
+        reports = check(LITMUS, runner)
         assert [r.model for r in reports] == ["tso", "relaxed"]
         assert all(r.ok for r in reports)
 
     def test_unknown_program_raises(self):
         with pytest.raises(ValueError, match="unknown litmus program"):
-            check_model("tso", tests=["nosuch"])
+            check(litmus(programs=["nosuch"]))
 
-    def test_single_test_outcomes_are_oracle_allowed(self):
-        tr = check_test(LITMUS_TESTS["sb"], "tso")
+    def test_single_test_outcomes_are_oracle_allowed(self, runner):
+        [report] = check(litmus(["tso"], ["sb"]), runner)
+        [tr] = report.tests
         assert tr.ok
         assert set(tr.outcomes) <= tr.allowed
 
-    def test_format_report_mentions_every_test(self, capsys=None):
-        report = check_model("tso", tests=["mp", "sb"])
+    def test_format_report_mentions_every_test(self, runner):
+        [report] = check(litmus(["tso"], ["mp", "sb"]), runner)
         text = format_report(report)
         assert "mp" in text and "sb" in text
         assert "ok" in text
+
+    @pytest.mark.parametrize("name", ["mp", "mp+fences", "mp+swap"])
+    def test_mp_family_sees_more_than_one_interleaving(self, runner, name):
+        """The writer-late and reader-late pad sets let the reader overlap
+        the writer, so soundness is checked on more than one outcome."""
+        for report in check(litmus(programs=[name]), runner):
+            [tr] = report.tests
+            assert len(tr.outcomes) >= 2, (name, report.model, tr.outcomes)
+
+    def test_outcome_rides_in_the_cell_metrics(self, runner):
+        from repro.service.planner import iter_cells
+
+        cell = next(iter_cells(litmus(["tso"], ["sb"])))
+        metrics = runner.run(cell.spec)
+        assert metrics.outcome in allowed_outcomes(LITMUS_TESTS["sb"], "tso")
+        assert '"outcome"' in metrics.to_json()
+        assert RunMetrics.from_json(metrics.to_json()) == metrics
 
 
 class TestSweep:
@@ -64,8 +97,9 @@ class TestSweep:
         monkeypatch.setitem(LITMUS_TESTS, "mp", short)
 
     def test_missing_demo_fails_only_when_required(self, undemonstrated, capsys):
-        assert sweep(("relaxed",), ["mp"], require_demos=False) == 0
-        assert sweep(("relaxed",), ["mp"]) == 1
+        mp = litmus(["relaxed"], ["mp"])
+        assert sweep(mp, require_demos=False) == 0
+        assert sweep(mp) == 1
         assert "MISSING" in capsys.readouterr().out
 
     def test_doors_keep_their_exit_rules(self, undemonstrated, tmp_path, capsys):
@@ -79,6 +113,31 @@ class TestSweep:
         assert main(["campaign", "run", str(spec)]) == 1
         assert _check_litmus() == 1
         assert "litmus gate failed" in capsys.readouterr().out
+
+
+class TestNoDiskCache:
+    """Until the cache keys on engine identity, a stale entry must not be
+    able to vouch for memory ordering: the gates run memory-only."""
+
+    def test_gate_leaves_an_empty_cache_dir_empty(self, tmp_path, monkeypatch):
+        cache = tmp_path / "cache"
+        cache.mkdir()
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(cache))
+        assert _check_litmus() == 0
+        assert list(cache.iterdir()) == []
+
+    def test_forged_entry_is_not_read(self, tmp_path, monkeypatch, capsys):
+        from repro.analysis.parallel import default_cache_dir
+        from repro.service.planner import iter_cells
+
+        cache = tmp_path / "cache"
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(cache))
+        cell = next(iter_cells(litmus(["tso"], ["mp"])))
+        disk = Runner(cache_dir=default_cache_dir())
+        forged = dataclasses.replace(disk.run(cell.spec), outcome=(1, 0))
+        disk._cache_store(cell.spec, forged)  # forbidden under TSO
+        assert main(["litmus", "--model", "tso", "--program", "mp"]) == 0
+        assert "VIOLATION" not in capsys.readouterr().out
 
 
 class TestLitmusCLI:

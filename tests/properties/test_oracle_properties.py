@@ -41,7 +41,7 @@ def skeleton(threads, observed=None) -> LitmusTest:
             if op.kind in ("load", "atomic")
         )
     return LitmusTest(
-        name="random", description="", threads=threads, observed=observed,
+        name="random", threads=threads, observed=observed,
         forbidden={}, pad_sets=(),
     )
 

@@ -121,11 +121,11 @@ class TestFigureParity:
 
     def test_fig2_microbench_axes(self):
         campaign = load_named_campaign("fig2")
-        jobs = planner.expand_microbench(campaign, SMOKE)
-        assert len(jobs) == 2 * 3 * 4  # machines x ops x variants
-        assert {j.machine for j in jobs} == {"old-x86", "new-x86"}
-        assert {j.op.value for j in jobs} == {"faa", "cas", "swap"}
-        assert {j.iterations for j in jobs} == {200}
+        cells = list(planner.iter_cells(campaign, SMOKE))
+        assert len(cells) == 2 * 3 * 4  # machines x ops x variants
+        assert {c["machine"] for c in cells} == {"old-x86", "new-x86"}
+        assert {c.spec.workload.op.value for c in cells} == {"faa", "cas", "swap"}
+        assert {c.spec.workload.iterations for c in cells} == {200}
 
 
 class TestAblationParity:

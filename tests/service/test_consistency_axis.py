@@ -3,7 +3,7 @@
 import pytest
 
 from repro.common.params import ConsistencyKind
-from repro.service.planner import expand_litmus, resolve_config
+from repro.service.planner import expand_campaign, iter_cells, resolve_config
 from repro.service.schema import (
     CampaignError,
     dump_campaign,
@@ -85,9 +85,9 @@ class TestLitmusKind:
 
     def test_expand_litmus_jobs(self):
         campaign = loads_campaign(LITMUS)
-        jobs = expand_litmus(campaign)
-        assert {j.program for j in jobs} == {"mp", "sb"}
-        assert {j.model for j in jobs} == {"relaxed"}
+        jobs = list(iter_cells(campaign))
+        assert {j["program"] for j in jobs} == {"mp", "sb"}
+        assert {j["model"] for j in jobs} == {"relaxed"}
         expected = sum(
             len(LITMUS_TESTS[name].pad_sets) for name in ("mp", "sb")
         )
@@ -122,7 +122,7 @@ class TestCommittedSpecs:
         campaign = load_named_campaign("litmus")
         assert campaign.kind == "litmus"
         assert set(campaign.programs) == set(LITMUS_TESTS)
-        assert expand_litmus(campaign)
+        assert expand_campaign(campaign)
 
     def test_ablation_pins_both_models(self):
         campaign = load_named_campaign("ablation_consistency")

@@ -5,9 +5,17 @@ import time
 import pytest
 
 from repro.analysis.parallel import Runner
+from repro.analysis.runner import RunMetrics
 from repro.service import planner
+from repro.service.client import ServiceClient
 from repro.service.fabric import ShardPool
-from repro.service.schema import CampaignError, loads_campaign
+from repro.service.http import ServiceThread
+from repro.service.schema import (
+    CampaignError,
+    default_campaign_dir,
+    load_campaign,
+    loads_campaign,
+)
 
 SMOKE_SPEC = """
 campaign: 1
@@ -66,25 +74,58 @@ class TestSubmission:
             pool.stop()
         assert len(pool.list_runs()) == 1
 
-    def test_microbench_campaign_rejected(self, tmp_path):
-        runner, pool = make_pool(tmp_path)
-        text = """
-campaign: 1
-name: micro
-kind: microbench
-machines: [new-x86]
-ops: [faa]
-variants: [plain]
-iterations: 10
-"""
-        with pytest.raises(CampaignError, match="microbench"):
-            pool.submit(loads_campaign(text))
+    def test_every_committed_campaign_is_accepted(self, tmp_path):
+        runner, pool = make_pool(tmp_path, state=False)  # never started
+        paths = sorted(default_campaign_dir().glob("*.yaml"))
+        assert len(paths) == 22
+        for path in paths:
+            run = pool.submit(load_campaign(path))
+            assert run.state == "queued" and run.total > 0, path.stem
+        assert len(pool.list_runs()) == 22
+        assert runner.stats.simulated == 0
 
     def test_result_rows_unavailable_until_done(self, tmp_path):
         runner, pool = make_pool(tmp_path)
         run = pool.submit(loads_campaign(SMOKE_SPEC))  # pool not started
         with pytest.raises(CampaignError, match="queued"):
             run.result_rows()
+
+
+class TestEveryKindServes:
+    LITMUS = "campaign: 1\nname: mp-and-sb-rmw\nkind: litmus\nprograms: [mp, sb+rmw]\n"
+
+    def test_fig2_and_litmus_rows_equal_a_local_runner(self, tmp_path):
+        fig2 = (default_campaign_dir() / "fig2.yaml").read_text()
+        pool = ShardPool(Runner())
+        pool.start()
+        thread = ServiceThread(pool).start()
+        try:
+            client = ServiceClient(thread.url)
+            served = {}
+            for text, scale in ((fig2, "smoke"), (self.LITMUS, None)):
+                status = client.submit(text, scale=scale)
+                status = client.wait(status["id"], timeout=60)
+                assert status["state"] == "done", status
+                served[text] = client.results(status["id"])
+        finally:
+            thread.stop()
+            pool.stop()
+        local = Runner()
+        for text, scale in ((fig2, "smoke"), (self.LITMUS, None)):
+            cells = list(planner.iter_cells(loads_campaign(text), scale))
+            metrics = local.run_many([c.spec for c in cells])
+            rows = served[text]
+            assert len(rows) == len(cells)
+            for row, cell, expected in zip(rows, cells, metrics):
+                assert row["spec"] == cell.spec.content_hash()
+                assert {k: row[k] for k, _ in cell.axes} == {
+                    k: list(v) if isinstance(v, tuple) else v
+                    for k, v in cell.axes
+                }
+                assert RunMetrics.from_dict(row["metrics"]) == expected
+        assert all(
+            row["metrics"]["outcome"] for row in served[self.LITMUS]
+        )
 
 
 class TestDedup:

@@ -1,6 +1,9 @@
 """Campaign expansion: the one grid-expansion helper behaves like the
 hand-written figure grids it replaced."""
 
+import json
+import pathlib
+
 import pytest
 
 from repro.analysis.parallel import RunSpec
@@ -13,8 +16,12 @@ from repro.service.schema import (
     ConfigSpec,
     GridSpec,
     WorkloadSpec,
+    default_campaign_dir,
+    load_campaign,
     loads_campaign,
 )
+
+CELL_HASHES = pathlib.Path(__file__).with_name("cell_hashes.json")
 
 TWO_BY_TWO = """
 campaign: 1
@@ -33,7 +40,7 @@ class TestExpansion:
         cells = list(planner.iter_cells(campaign, SMOKE))
         # 2 workloads x 2 configs x 1 smoke seed
         assert len(cells) == 4
-        labels = {(c.workload, c.config_name, c.seed) for c in cells}
+        labels = {(c.spec.workload.name, c["config"], c["seed"]) for c in cells}
         assert labels == {
             ("fmm", "eager", 0),
             ("fmm", "lazy", 0),
@@ -75,7 +82,7 @@ grids:
         text = TWO_BY_TWO + "    seeds: [7]\n"
         campaign = loads_campaign(text)
         cells = list(planner.iter_cells(campaign, QUICK))
-        assert {c.seed for c in cells} == {7}
+        assert {c["seed"] for c in cells} == {7}
 
 
 class TestConfigResolution:
@@ -198,28 +205,37 @@ class TestMicrobench:
         from repro.service.schema import load_named_campaign
 
         campaign = load_named_campaign("fig2")
-        smoke_jobs = planner.expand_microbench(campaign, SMOKE)
-        quick_jobs = planner.expand_microbench(campaign, QUICK)
-        assert len(smoke_jobs) == len(quick_jobs) == 24
-        assert {j.iterations for j in smoke_jobs} == {200}
-        assert {j.iterations for j in quick_jobs} == {600}
+        smoke = planner.expand_campaign(campaign, SMOKE)
+        quick = planner.expand_campaign(campaign, QUICK)
+        assert len(smoke) == len(quick) == 24
+        assert {s.workload.iterations for s in smoke} == {200}
+        assert {s.workload.iterations for s in quick} == {600}
 
-    def test_grid_campaign_rejects_microbench_expansion(self):
-        campaign = loads_campaign(TWO_BY_TWO)
-        with pytest.raises(CampaignError):
-            planner.expand_microbench(campaign, SMOKE)
+    def test_fixed_int_fields_keep_equal_programs_equal_specs(self):
+        from repro.service.schema import load_named_campaign
+
+        campaign = load_named_campaign("fig2")
+        specs = planner.expand_campaign(campaign, QUICK)
+        assert {(s.num_threads, s.instructions_per_thread, s.seed) for s in specs} == {
+            (1, 600, 0)
+        }
+        again = planner.expand_campaign(load_named_campaign("fig2"), QUICK)
+        assert [s.content_hash() for s in again] == [s.content_hash() for s in specs]
 
 
 class TestCampaignJobs:
     def test_dispatches_on_kind(self):
+        """One expansion serves every kind; each cell names its axes by
+        the campaign's keys."""
         from repro.service.schema import load_named_campaign
 
-        grid = loads_campaign(TWO_BY_TWO)
-        assert planner.campaign_jobs(grid, SMOKE) == planner.expand_campaign(grid, SMOKE)
-        fig2 = load_named_campaign("fig2")
-        assert planner.campaign_jobs(fig2, SMOKE) == planner.expand_microbench(fig2, SMOKE)
-        litmus = load_named_campaign("litmus")
-        assert planner.campaign_jobs(litmus) == planner.expand_litmus(litmus)
+        grid = next(planner.iter_cells(loads_campaign(TWO_BY_TWO), SMOKE))
+        assert [key for key, _ in grid.axes] == ["grid", "workload", "config", "seed"]
+        fig2 = next(planner.iter_cells(load_named_campaign("fig2"), SMOKE))
+        assert fig2.axes == (("machine", "old-x86"), ("op", "faa"), ("variant", "plain"))
+        litmus = next(planner.iter_cells(load_named_campaign("litmus")))
+        assert [key for key, _ in litmus.axes] == ["program", "model", "pads"]
+        assert litmus["program"] == "mp" and litmus["model"] == "tso"
 
 
 class TestProgrammaticEquivalence:
@@ -243,3 +259,23 @@ class TestProgrammaticEquivalence:
         assert planner.expand_campaign(
             yaml_campaign, SMOKE
         ) == planner.expand_campaign(programmatic, SMOKE)
+
+
+class TestCellIdentity:
+    def test_cell_hashes_are_those_recorded(self):
+        """``RunSpec.content_hash()`` keys the result cache: the first and
+        last cell of every committed grid campaign at smoke and quick."""
+        recorded = json.loads(CELL_HASHES.read_text())
+        grids = {}
+        for path in sorted(default_campaign_dir().glob("*.yaml")):
+            campaign = load_campaign(path)
+            if campaign.kind == "grid":
+                grids[path.stem] = campaign
+        assert set(recorded) == set(grids)
+        for name, campaign in grids.items():
+            for scale, (first, last) in recorded[name].items():
+                specs = planner.expand_campaign(campaign, scale)
+                assert [specs[0].content_hash(), specs[-1].content_hash()] == [
+                    first,
+                    last,
+                ], (name, scale)

@@ -26,7 +26,9 @@ ALL = sorted(LITMUS_TESTS)
 
 #: sha256 prefixes over (pads, instruction records, observed) of every
 #: pad set plus the unpadded build, pinned from the hand-written builders
-#: the compiler replaced: the compiled programs are those programs.
+#: the compiler replaced: the compiled programs are those programs.  The
+#: pad sets are those the builders were swept over (frozen in
+#: HAND_BUILDER_PADS), not the registry's current ones.
 PROGRAM_DIGESTS = {
     "mp": "ead1b35ba406f331",
     "mp+fences": "c674dd34ff5139a6",
@@ -37,9 +39,24 @@ PROGRAM_DIGESTS = {
 }
 
 
+_MP = ((0, 0, 0), (2, 0, 0), (0, 2, 0), (4, 4, 0), (16, 16, 0), (8, 0, 20), (16, 0, 20), (24, 0, 40))
+_PADS_2 = tuple((a, b) for a in (0, 2, 6, 12) for b in (0, 2, 6, 12))
+HAND_BUILDER_PADS = {
+    "mp": _MP,
+    "mp+fences": ((0, 0, 0), (2, 0, 0), (4, 4, 0), (8, 0, 20), (16, 0, 20), (24, 0, 40)),
+    "sb": _PADS_2,
+    "sb+fences": _PADS_2,
+    "lb": _PADS_2,
+    "iriw": (
+        (0, 0, 0, 0, 0), (0, 4, 2, 6, 0), (4, 0, 6, 2, 0), (2, 2, 10, 10, 0),
+        (8, 8, 0, 0, 20), (16, 8, 0, 0, 20), (16, 16, 0, 0, 20), (24, 24, 0, 0, 40),
+    ),
+}
+
+
 def program_digest(test: LitmusTest) -> str:
     h = hashlib.sha256()
-    for pads in ((),) + test.pad_sets:
+    for pads in ((),) + HAND_BUILDER_PADS[test.name]:
         program = test.program(*pads)
         records = [[instruction_to_record(i) for i in t.instructions] for t in program.traces]
         observed = [list(o) for o in program.metadata["observed"]]
@@ -88,7 +105,6 @@ class TestCompiledPrograms:
     def test_atomics_and_deps_compile(self):
         test = LitmusTest(
             name="t",
-            description="",
             threads=((ld(X), Op("atomic", Y, 5, AtomicOp.SWAP, deps=(0,))),),
             observed=((0, 1),),
             forbidden={},
