@@ -14,8 +14,11 @@ from __future__ import annotations
 import sys
 
 from repro import AtomicOp, build_microbench, simulate
-from repro.analysis.figures import legacy_core_params, modern_core_params
-from repro.workloads.microbench import VARIANTS
+from repro.workloads.microbench import (
+    VARIANTS,
+    legacy_core_params,
+    modern_core_params,
+)
 
 
 def main() -> None:

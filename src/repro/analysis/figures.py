@@ -34,7 +34,7 @@ from repro.analysis.ablations import oracle_campaign
 from repro.analysis.parallel import Runner, get_default_runner
 from repro.analysis.report import FigureData
 from repro.analysis.runner import ExperimentScale, RunMetrics, mean_over_seeds
-from repro.common.params import AtomicMode, SystemParams
+from repro.common.params import AtomicMode
 from repro.common.stats import geomean
 from repro.row.cost import row_hardware_cost
 
@@ -145,46 +145,6 @@ class Table:
 # ---------------------------------------------------------------------------
 # Fig. 2 — fence microbenchmark on old (fenced) vs new (unfenced) cores
 # ---------------------------------------------------------------------------
-
-
-def modern_core_params() -> SystemParams:
-    """Coffee Lake-class single core with unfenced (eager) atomics.
-
-    Four MSHRs reproduce the paper's observed ratio: inserting explicit
-    mfences drops performance "to roughly a fourth" because the memory-level
-    parallelism of ~4 outstanding misses collapses to 1.
-    """
-    return SystemParams.small(
-        num_cores=1, atomic_mode=AtomicMode.EAGER, mshr_entries=4
-    )
-
-
-def legacy_core_params() -> SystemParams:
-    """Kentsfield-class single core: fenced atomics, narrower OoO engine.
-
-    Two MSHRs: on the old machine the lock prefix roughly *doubles* cycles
-    per iteration (Fig. 2, left), i.e. the unfenced baseline only overlapped
-    about two misses.
-    """
-    return SystemParams.small(
-        num_cores=1,
-        atomic_mode=AtomicMode.FENCED,
-        fetch_width=3,
-        issue_width=4,
-        commit_width=4,
-        rob_entries=64,
-        lq_entries=16,
-        sb_entries=12,
-        iq_entries=24,
-        mshr_entries=2,
-    )
-
-
-#: The single-core machine models behind the fig2 campaign's machine axis.
-MACHINE_PARAMS = {
-    "old-x86": legacy_core_params,
-    "new-x86": modern_core_params,
-}
 
 
 def microbench_table(campaign, scale: ExperimentScale, runner: Runner) -> FigureData:

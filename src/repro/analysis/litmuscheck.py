@@ -112,16 +112,14 @@ def check(campaign, runner: Runner | None = None) -> list[LitmusReport]:
     return reports
 
 
-def sweep(
-    campaign, runner: Runner | None = None, require_demos: bool = True
-) -> int:
+def sweep(campaign, runner: Runner | None = None) -> int:
     """Check and print every model's report; the exit code of each
-    litmus door: 1 on an oracle violation or, with ``require_demos``, on
-    a relaxed-only outcome the sweep never reached; else 0."""
+    litmus door: 1 on an oracle violation or on a relaxed-only outcome
+    the sweep never reached; else 0."""
     rc = 0
     for report in check(campaign, runner):
         print(format_report(report))
-        if report.violations or (require_demos and not report.ok):
+        if not report.ok:
             rc = 1
     return rc
 

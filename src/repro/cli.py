@@ -7,31 +7,31 @@ figure     regenerate tables of the evaluation (any id of ``repro list``, or all
 campaign   run or validate a declarative campaign spec (campaigns/*.yaml)
 serve      the sharded campaign service over HTTP (resumes on restart)
 client     submit/status/fetch against a running ``repro serve``
-microbench run the Sec. II-A fence microbenchmark
-litmus     run litmus programs against the exhaustive-interleaving oracle
 list       list workloads, tables and litmus programs
-sweep      sweep a workload knob (hot_fraction / atomics_per_10k)
 validate   regenerate tables and check the paper's qualitative claims
 profile    cProfile one simulation run (top-N by cumulative time)
 lint       static protocol/convention/architecture/effect lint
 effects    dump the interprocedural effect summary (and effect findings)
 check      lint + golden + perf + campaign + litmus gates + tier-1 tests
 
-``run``, ``figure`` and ``sweep`` accept ``--consistency {tso,relaxed}``
-to select the memory consistency model
-(:mod:`repro.core.consistency`); ``litmus`` cross-validates the
-simulator against the per-model interleaving oracle
-(:mod:`repro.analysis.litmuscheck`) and shares the lint exit-code
-contract below.
+``run`` and ``figure`` accept ``--consistency {tso,relaxed}`` to select
+the memory consistency model (:mod:`repro.core.consistency`).  Every
+campaign goes through ``campaign run``: the Fig. 2 microbenchmark is
+``figure fig2`` (or a ``kind: microbench`` spec), a knob sweep is a grid
+spec such as ``examples/sweep.yaml``, and ``campaign run
+campaigns/litmus.yaml`` cross-validates the simulator against the
+per-model interleaving oracle (:mod:`repro.analysis.litmuscheck`),
+exiting 1 on a violation or a missing relaxed-only demonstration.
 
-``figure``, ``campaign run``, ``sweep`` and ``validate`` accept
-``--jobs/-j N`` to fan the (workload × config × seed) job grid across
-worker processes, and ``--cache-dir``/``--no-cache`` to control the
-persistent on-disk result cache (default: ``$REPRO_CACHE_DIR`` or
-``~/.cache/repro``).  ``figure``, ``campaign run`` and ``validate`` are
+``figure``, ``campaign run`` and ``validate`` accept ``--jobs/-j N`` to
+fan the (workload × config × seed) job grid across worker processes, and
+``--cache-dir``/``--no-cache`` to control the persistent on-disk result
+cache (default: ``$REPRO_CACHE_DIR`` or ``~/.cache/repro``).  They are
 one code path — :func:`repro.analysis.figures.render` over a campaign —
 so a warm cache re-renders a table without running a single simulation,
 and warming a campaign (locally or through the service) warms its table.
+``campaign run --remote URL`` submits to ``repro serve``, waits, and
+exits 0 only when the campaign ended done.
 
 Exit codes
 ----------
@@ -53,8 +53,7 @@ from repro.analysis.figures import TABLES
 from repro.analysis.parallel import Runner, default_cache_dir
 from repro.analysis.report import render_table
 from repro.analysis.runner import default_scale
-from repro.common.params import AtomicMode, SystemParams
-from repro.common.stats import geomean
+from repro.common.params import PRESETS, AtomicMode, SystemParams
 from repro.isa.instructions import AtomicOp
 from repro.isa.serialize import load_program, save_program
 from repro.sim.multicore import MulticoreSimulator, simulate
@@ -85,7 +84,7 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument(
         "--config",
-        choices=("quick", "small", "paper"),
+        choices=tuple(PRESETS),
         default="small",
         help="system configuration preset",
     )
@@ -149,20 +148,23 @@ def _runner(args) -> Runner:
 
 
 def _params(args) -> SystemParams:
-    factory = {
-        "quick": SystemParams.quick,
-        "small": SystemParams.small,
-        "paper": SystemParams.paper,
-    }[args.config]
-    return factory()
+    return PRESETS[args.config]()
+
+
+def _workload_run(args, workload: str):
+    """``--config``'s params and ``workload``'s program on
+    ``min(--threads, cores)`` threads of ``--instructions`` each."""
+    params = _params(args)
+    program = build_program(
+        workload, min(args.threads, params.num_cores), args.instructions,
+        seed=args.seed,
+    )
+    return params, program
 
 
 def cmd_run(args) -> int:
-    params = _params(args).with_consistency_model(args.consistency)
-    program = build_program(
-        args.workload, min(args.threads, params.num_cores), args.instructions,
-        seed=args.seed,
-    )
+    params, program = _workload_run(args, args.workload)
+    params = params.with_consistency_model(args.consistency)
     modes = [AtomicMode.from_name(m) for m in args.modes]
     rows = []
     baseline = None
@@ -429,7 +431,6 @@ CAMPAIGN_BUDGET_SECONDS = 30.0
 def _check_campaigns() -> int:
     """Validate committed campaign specs and e2e-run the smoke campaign."""
     from repro.service import planner, schema
-    from repro.service.client import ServiceClient, ServiceError
     from repro.service.fabric import ShardPool
     from repro.service.http import ServiceThread
 
@@ -472,35 +473,17 @@ def _check_campaigns() -> int:
         )
         return 1
 
-    smoke = spec_dir / "smoke.yaml"
     pool = ShardPool(Runner())
     pool.start()
     thread = ServiceThread(pool).start()
     try:
-        client = ServiceClient(thread.url)
-        status = client.submit(smoke.read_text())
-        status = client.wait(status["id"], timeout=60)
-        if status["state"] != "done":
-            print(
-                "campaign gate failed: smoke campaign ended"
-                f" {status['state']}: {status.get('error', '?')}"
-            )
-            return 1
-        rows = client.results(status["id"])
-        if not rows:
-            print("campaign gate failed: smoke campaign produced no rows")
-            return 1
-        print(
-            f"smoke campaign e2e ok: {len(rows)} rows"
-            f" ({status['simulated']} simulated)"
-        )
-    except ServiceError as exc:
-        print(f"campaign gate failed: {exc}")
-        return 1
+        rc = _run_remote(thread.url, spec_dir / "smoke.yaml", timeout=60)
     finally:
         thread.stop()
         pool.stop()
-    return 0
+    if rc:
+        print("campaign gate failed: the smoke campaign did not run to done")
+    return rc
 
 
 def _check_litmus() -> int:
@@ -661,38 +644,44 @@ def cmd_serve(args) -> int:
     return 0
 
 
-def _campaign_run_remote(args) -> int:
+def _run_remote(
+    url: str, spec: str | os.PathLike, scale: str | None = None,
+    timeout: float = 600.0,
+) -> int:
+    """The one submit-and-wait path (``campaign run --remote`` and the
+    check gate): submit the spec file to the service at ``url``, wait,
+    and return 0 only when the campaign ended done with result rows."""
     from repro.service.client import ServiceClient, ServiceError
 
-    client = ServiceClient(args.remote)
     try:
-        text = pathlib.Path(args.spec).read_text()
+        text = pathlib.Path(spec).read_text()
     except OSError as exc:
-        raise UsageError(f"cannot read campaign spec {args.spec}: {exc}") from exc
+        raise UsageError(f"cannot read campaign spec {spec}: {exc}") from exc
+    client = ServiceClient(url)
     try:
-        status = client.submit(text, scale=args.scale)
+        status = client.submit(text, scale=scale)
         print(
             f"submitted campaign {status['name']} ({status['id'][:12]},"
-            f" {status['total']} cells) to {args.remote}"
+            f" {status['total']} cells) to {url}"
         )
-        status = client.wait(status["id"], timeout=args.timeout)
+        status = client.wait(status["id"], timeout=timeout)
+        if status["state"] != "done":
+            print(
+                f"campaign {status['name']} {status['state']}:"
+                f" {status.get('error', 'no error recorded')}",
+                file=sys.stderr,
+            )
+            return 1
+        rows = client.results(status["id"])
     except ServiceError as exc:
         print(f"repro campaign: {exc}", file=sys.stderr)
         return 1
-    if status["state"] != "done":
-        print(
-            f"campaign {status['name']} {status['state']}:"
-            f" {status.get('error', 'no error recorded')}",
-            file=sys.stderr,
-        )
-        return 1
-    rows = client.results(status["id"])
     print(
         f"campaign {status['name']} done: {len(rows)} result rows"
         f" ({status['simulated']} simulated, {status['cache_hits']} cache"
         " hits)"
     )
-    return 0
+    return 0 if rows else 1
 
 
 def cmd_campaign(args) -> int:
@@ -717,7 +706,7 @@ def cmd_campaign(args) -> int:
         return 0
     # action == "run"
     if args.remote:
-        return _campaign_run_remote(args)
+        return _run_remote(args.remote, args.spec, args.scale, args.timeout)
     try:
         campaign = schema.load_campaign(args.spec)
     except schema.CampaignError as exc:
@@ -767,10 +756,6 @@ def cmd_client(args) -> int:
                 ) from exc
             status = client.submit(text, scale=args.scale)
             print(json.dumps(status, indent=2, sort_keys=True))
-            if args.wait:
-                status = client.wait(status["id"], timeout=args.timeout)
-                print(json.dumps(status, indent=2, sort_keys=True))
-                return 0 if status["state"] == "done" else 1
         elif args.action == "status":
             if args.id:
                 print(json.dumps(client.status(args.id), indent=2, sort_keys=True))
@@ -784,55 +769,6 @@ def cmd_client(args) -> int:
         print(f"repro client: {exc}", file=sys.stderr)
         return 1
     return 0
-
-
-def cmd_microbench(args) -> int:
-    """One machine's column of Fig. 2: the fig2 campaign narrowed to one
-    machine, through a memory-only Runner."""
-    import dataclasses
-
-    from repro.service.schema import load_named_campaign
-
-    campaign = dataclasses.replace(
-        load_named_campaign("fig2"),
-        machines=(f"{args.machine}-x86",),
-        iterations=args.iterations,
-    )
-    fig = figures.microbench_table(campaign, default_scale(), Runner())
-    rows = [[op, variant, round(cpi, 2)] for _, op, variant, cpi in fig.rows]
-    print(
-        render_table(
-            f"fence microbenchmark on the {args.machine} machine",
-            ["op", "variant", "cycles/iter"],
-            rows,
-        )
-    )
-    return 0
-
-
-def cmd_litmus(args) -> int:
-    """Run litmus programs and compare against the interleaving oracle.
-
-    Exit 0 when every simulator outcome is oracle-allowed (and, with
-    ``--check``, every relaxed-only outcome was demonstrated), 1 on a
-    violation or missing demonstration, 2 on an unknown program/model.
-    """
-    import dataclasses
-
-    from repro.analysis.litmuscheck import sweep
-    from repro.service.schema import CampaignError, load_named_campaign
-
-    # The committed campaign, narrowed; check() runs it memory-only.
-    campaign = load_named_campaign("litmus")
-    campaign = dataclasses.replace(
-        campaign,
-        programs=tuple(args.program or campaign.programs),
-        models=tuple(args.model or campaign.models),
-    )
-    try:
-        return sweep(campaign, require_demos=args.check)
-    except CampaignError as exc:  # an unknown --program
-        raise UsageError(str(exc)) from exc
 
 
 def cmd_list(_args) -> int:
@@ -850,92 +786,10 @@ def cmd_list(_args) -> int:
     print("tables:", ", ".join(TABLES))
     print("litmus:", ", ".join(sorted(LITMUS_TESTS)))
     print(
-        "hint: figure/sweep/validate accept -j/--jobs N (parallel workers),"
-        " --cache-dir DIR and --no-cache (persistent result cache)"
+        "hint: figure/campaign run/validate accept -j/--jobs N"
+        " (parallel workers), --cache-dir DIR and --no-cache (persistent"
+        " result cache)"
     )
-    return 0
-
-
-def _sweep_campaign(args):
-    """The sweep expressed as a campaign: one workload entry per knob
-    value, eager + lazy columns, explicit seeds/threads/instructions so
-    expansion is independent of the experiment scale."""
-    from repro.service.schema import (
-        Campaign,
-        ConfigSpec,
-        GridSpec,
-        WorkloadSpec,
-    )
-
-    values = [float(v) for v in args.values.split(",")]
-    # A non-default model is pinned per config (and thus serialized by
-    # --emit-campaign); the default stays implicit so existing sweep
-    # specs round-trip unchanged.
-    consistency = None if args.consistency == "tso" else args.consistency
-    grid = GridSpec(
-        workloads=tuple(
-            WorkloadSpec(
-                base=args.workload,
-                name=f"{args.workload}-{args.knob}-{value:g}",
-                overrides={args.knob: value},
-            )
-            for value in values
-        ),
-        configs=(
-            ConfigSpec(
-                name="eager", mode="eager", consistency=consistency
-            ),
-            ConfigSpec(name="lazy", mode="lazy", consistency=consistency),
-        ),
-        seeds=tuple(range(args.seeds)),
-        num_threads=args.threads,
-        instructions_per_thread=args.instructions,
-    )
-    campaign = Campaign(
-        name=f"sweep-{args.workload}-{args.knob}",
-        description=f"lazy/eager ratio of {args.workload} vs {args.knob}",
-        base=args.config,
-        grids=(grid,),
-    )
-    return campaign, values
-
-
-def cmd_sweep(args) -> int:
-    from repro.service import planner, schema
-
-    campaign, values = _sweep_campaign(args)
-    if args.emit_campaign:
-        schema.dump_campaign(campaign, args.emit_campaign)
-        jobs = len(planner.expand_campaign(campaign))
-        print(
-            f"wrote campaign spec {args.emit_campaign} ({jobs} unique jobs);"
-            f" run it with: repro campaign run {args.emit_campaign}"
-        )
-        return 0
-    runner = _runner(args)
-    cells = list(planner.iter_cells(campaign))
-    # One flat job grid so --jobs fans the whole sweep out at once.
-    runner.run_many([cell.spec for cell in cells])
-    cycles = {
-        (cell["workload"], cell["config"], cell["seed"]):
-            runner.run(cell.spec).cycles
-        for cell in cells
-    }
-    rows = []
-    for index, value in enumerate(values):
-        ratios = [
-            cycles[(index, "lazy", seed)] / cycles[(index, "eager", seed)]
-            for seed in range(args.seeds)
-        ]
-        rows.append([value, round(geomean(ratios), 3)])
-    print(
-        render_table(
-            f"sweep of {args.knob} on {args.workload} (lazy/eager)",
-            [args.knob, "lazy/eager"],
-            rows,
-        )
-    )
-    print(f"repro: {runner.summary()}", file=sys.stderr)
     return 0
 
 
@@ -997,17 +851,12 @@ def _cmd_trace_events(args) -> int:
     from repro.obs import CATEGORIES, EventTrace, TraceConfig, write_chrome_trace
 
     if args.target == "fig2":
+        params = _params(args)
         program = build_microbench(
             AtomicOp(args.op), args.variant, iterations=args.instructions
         )
     elif args.target in WORKLOADS:
-        params_probe = _params(args)
-        program = build_program(
-            args.target,
-            min(args.threads, params_probe.num_cores),
-            args.instructions,
-            seed=args.seed,
-        )
+        params, program = _workload_run(args, args.target)
     else:
         raise UsageError(
             f"unknown trace target {args.target!r}; expected an action"
@@ -1033,7 +882,7 @@ def _cmd_trace_events(args) -> int:
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
     tracer = EventTrace(config)
-    params = _params(args).with_atomic_mode(AtomicMode.from_name(args.mode))
+    params = params.with_atomic_mode(AtomicMode.from_name(args.mode))
     result = simulate(params, program, trace=tracer)
     out = write_chrome_trace(tracer, args.out)
     print(
@@ -1055,11 +904,8 @@ def cmd_profile(args) -> int:
     import cProfile
     import pstats
 
-    params = _params(args).with_atomic_mode(AtomicMode.from_name(args.mode))
-    program = build_program(
-        args.workload, min(args.threads, params.num_cores), args.instructions,
-        seed=args.seed,
-    )
+    params, program = _workload_run(args, args.workload)
+    params = params.with_atomic_mode(AtomicMode.from_name(args.mode))
     profiler = cProfile.Profile()
     profiler.enable()
     result = simulate(params, program)
@@ -1177,34 +1023,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_fig.set_defaults(fn=cmd_figure)
 
-    p_micro = sub.add_parser("microbench", help="Sec. II-A fence microbenchmark")
-    p_micro.add_argument("--machine", choices=("old", "new"), default="new")
-    p_micro.add_argument("--iterations", type=int, default=600)
-    p_micro.set_defaults(fn=cmd_microbench)
-
-    p_litmus = sub.add_parser(
-        "litmus",
-        help="litmus programs vs the exhaustive-interleaving oracle",
-    )
-    p_litmus.add_argument(
-        "--model",
-        action="append",
-        choices=("tso", "relaxed"),
-        help="consistency model(s) to run (default: both)",
-    )
-    p_litmus.add_argument(
-        "--program",
-        action="append",
-        metavar="NAME",
-        help="litmus program(s) to run (default: all; see repro list)",
-    )
-    p_litmus.add_argument(
-        "--check",
-        action="store_true",
-        help="also fail when a relaxed-only outcome was never demonstrated",
-    )
-    p_litmus.set_defaults(fn=cmd_litmus)
-
     p_list = sub.add_parser("list", help="list workloads, tables and litmus")
     p_list.set_defaults(fn=cmd_list)
 
@@ -1282,26 +1100,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p_prof)
     p_prof.set_defaults(fn=cmd_profile)
 
-    p_sweep = sub.add_parser("sweep", help="sweep one workload knob")
-    p_sweep.add_argument("workload", choices=sorted(WORKLOADS))
-    p_sweep.add_argument(
-        "--knob",
-        choices=("hot_fraction", "atomics_per_10k", "store_before_atomic_prob"),
-        default="hot_fraction",
-    )
-    p_sweep.add_argument("--values", default="0.0,0.3,0.6,0.9")
-    p_sweep.add_argument("--seeds", type=int, default=2)
-    p_sweep.add_argument(
-        "--emit-campaign",
-        default=None,
-        metavar="PATH",
-        help="write the sweep as a campaign spec instead of running it",
-    )
-    _add_common(p_sweep)
-    _add_consistency(p_sweep)
-    _add_runner_flags(p_sweep)
-    p_sweep.set_defaults(fn=cmd_sweep)
-
     p_serve = sub.add_parser(
         "serve", help="run the sharded campaign service over HTTP"
     )
@@ -1348,13 +1146,6 @@ def build_parser() -> argparse.ArgumentParser:
     client_sub = p_client.add_subparsers(dest="action", required=True)
     p_cl_submit = client_sub.add_parser("submit", help="submit a campaign spec")
     p_cl_submit.add_argument("spec", help="campaign spec file (.yaml/.json)")
-    p_cl_submit.add_argument(
-        "--wait", action="store_true", help="block until the campaign finishes"
-    )
-    p_cl_submit.add_argument(
-        "--timeout", type=float, default=600.0,
-        help="seconds to wait with --wait (default 600)",
-    )
     p_cl_submit.add_argument("--scale", default=None)
     p_cl_submit.add_argument("--url", default=None, help="service base URL")
     p_cl_submit.set_defaults(fn=cmd_client)

@@ -336,3 +336,11 @@ class SystemParams:
             raise ValueError("counter_bits must be >= 1")
         if self.row.predictor_entries & (self.row.predictor_entries - 1):
             raise ValueError("predictor_entries must be a power of two")
+
+
+#: The named machine presets (``--config`` and a campaign's ``base:``).
+PRESETS = {
+    "quick": SystemParams.quick,
+    "small": SystemParams.small,
+    "paper": SystemParams.paper,
+}

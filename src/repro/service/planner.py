@@ -1,8 +1,8 @@
 """Campaign expansion: from declarative spec to deduplicated RunSpec cells.
 
 This is the *one* expansion helper in the tree — figures, ablations,
-the litmus check, ``repro sweep``, ``repro campaign run``, ``repro
-serve`` and the check gate all turn campaign axes into concrete
+knob sweeps, the litmus check, ``repro campaign run``, ``repro serve``
+and the check gate all turn campaign axes into concrete
 :class:`~repro.analysis.parallel.RunSpec` jobs here, whatever the
 campaign's kind, so "the committed spec file and the figure function
 expand to the same cells" is true by construction, not by parallel
@@ -17,7 +17,6 @@ import json
 from dataclasses import dataclass
 from typing import Iterator
 
-from repro.analysis.figures import MACHINE_PARAMS
 from repro.analysis.parallel import RunSpec
 from repro.analysis.runner import (
     ExperimentScale,
@@ -27,6 +26,7 @@ from repro.analysis.runner import (
     scale_by_name,
 )
 from repro.common.params import (
+    PRESETS,
     DetectionMode,
     PredictorKind,
     SystemParams,
@@ -42,7 +42,7 @@ from repro.service.schema import (
     campaign_payload,
 )
 from repro.workloads.litmus_oracle import LITMUS_TESTS
-from repro.workloads.microbench import Microbench
+from repro.workloads.microbench import MACHINE_PARAMS, Microbench
 from repro.workloads.profiles import WorkloadProfile, get_profile
 
 
@@ -87,12 +87,7 @@ def campaign_base_params(
 ) -> SystemParams:
     if campaign.base == "scale":
         return base_params(scale)
-    factory = {
-        "quick": SystemParams.quick,
-        "small": SystemParams.small,
-        "paper": SystemParams.paper,
-    }[campaign.base]
-    return factory()
+    return PRESETS[campaign.base]()
 
 
 def resolve_workload(spec: WorkloadSpec) -> str | WorkloadProfile:

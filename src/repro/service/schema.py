@@ -41,6 +41,7 @@ from typing import Callable, ClassVar
 
 from repro.analysis.runner import scale_by_name
 from repro.common.params import (
+    PRESETS,
     AtomicMode,
     ConsistencyKind,
     DetectionMode,
@@ -51,6 +52,7 @@ from repro.common.params import (
 from repro.common.schema import CAMPAIGN_SCHEMA_VERSION
 from repro.isa.instructions import AtomicOp
 from repro.workloads.litmus_oracle import LITMUS_TESTS
+from repro.workloads.microbench import MACHINE_PARAMS
 from repro.workloads.microbench import VARIANTS as MICROBENCH_VARIANTS
 from repro.workloads.profiles import WORKLOADS, WorkloadProfile
 
@@ -68,8 +70,7 @@ class CampaignError(ValueError):
 #: ``latency_threshold: null`` (which means +inf).
 UNSET = "default"
 
-MACHINES: tuple[str, ...] = ("old-x86", "new-x86")
-BASE_PRESETS: tuple[str, ...] = ("scale", "quick", "small", "paper")
+BASE_PRESETS: tuple[str, ...] = ("scale", *PRESETS)
 OUTPUT_KINDS: tuple[str, ...] = ("none", "figure", "ablation")
 CAMPAIGN_KINDS: tuple[str, ...] = ("grid", "microbench", "litmus")
 
@@ -411,10 +412,10 @@ class Campaign(Record):
         Field("name", text, required=True),
         Field("description", text),
         Field("kind", one_of("campaign kind", CAMPAIGN_KINDS)),
-        Field("scale", scale_name),
-        Field("base", one_of("base", BASE_PRESETS)),
+        Field("scale", scale_name, kinds=("grid", "microbench")),
+        Field("base", one_of("base", BASE_PRESETS), kinds=("grid",)),
         Field("grids", seq(record(GridSpec)), required=True, kinds=("grid",)),
-        Field("machines", seq(one_of("machine", MACHINES)), required=True,
+        Field("machines", seq(one_of("machine", MACHINE_PARAMS)), required=True,
               kinds=("microbench",)),
         Field("ops", seq(one_of("op", (o.value for o in AtomicOp))),
               required=True, kinds=("microbench",)),

@@ -29,11 +29,20 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["figure", "fig3"])
 
-    def test_sweep_values_parsing(self):
-        args = build_parser().parse_args(
-            ["sweep", "pc", "--values", "0.1,0.5", "--seeds", "1"]
-        )
-        assert args.values == "0.1,0.5"
+    def test_subcommand_set(self, capsys):
+        """The campaign door is the only door: the narrowing commands are
+        gone and argparse refuses them as usage errors."""
+        parser = build_parser()
+        [sub] = [a for a in parser._actions if a.dest == "command"]
+        assert list(sub.choices) == [
+            "run", "lint", "effects", "check", "figure", "list", "validate",
+            "trace", "profile", "serve", "campaign", "client",
+        ]
+        for gone in ("sweep", "microbench", "litmus"):
+            with pytest.raises(SystemExit) as exc:
+                main([gone])
+            assert exc.value.code == 2
+            assert "invalid choice" in capsys.readouterr().err
 
 
 class TestCommands:
@@ -68,9 +77,12 @@ class TestCommands:
         assert "eager" in out and "lazy" in out
 
     def test_microbench(self, capsys):
-        rc = main(["microbench", "--machine", "new", "--iterations", "60"])
+        rc = main(["figure", "fig2", "--scale", "smoke", "--no-cache"])
         assert rc == 0
         out = capsys.readouterr().out
+        assert "Fig.2" in out
+        rows = [line.split("|")[0].strip() for line in out.splitlines()]
+        assert rows.count("old-x86") == rows.count("new-x86") == 12
         assert "lock+mfence" in out
 
     def test_figure_to_file(self, tmp_path, capsys):
@@ -188,26 +200,24 @@ class TestCommands:
         assert rc == 2
         assert "requires a trace-file path" in captured.err
 
-    def test_sweep(self, capsys):
-        rc = main(
-            [
-                "sweep",
-                "fmm",
-                "--values",
-                "0.0,0.5",
-                "--seeds",
-                "1",
-                "--threads",
-                "2",
-                "--instructions",
-                "500",
-                "--config",
-                "quick",
-            ]
-        )
-        assert rc == 0
+    def test_sweep(self, narrowed_sweep, capsys):
+        """``repro sweep pc --values 0.1,0.5 --seeds 1 --threads 2
+        --instructions 300`` printed 1.147 and 1.150; the committed sweep
+        spec, narrowed the same way, prints them through the Fig. 1 table."""
+        spec = narrowed_sweep("pc", (0.1, 0.5), seeds=1, threads=2, instructions=300)
+        assert main(["campaign", "run", str(spec)]) == 0
         out = capsys.readouterr().out
-        assert "lazy/eager" in out
+        assert "4 unique cells" in out
+        rows = {
+            cols[0]: cols[1]
+            for cols in (
+                [c.strip() for c in line.split("|")] for line in out.splitlines()
+            )
+            if len(cols) == 2
+        }
+        assert rows["workload"] == "lazy/eager"
+        assert rows["pc-hot_fraction-0.1"] == "1.147"
+        assert rows["pc-hot_fraction-0.5"] == "1.150"
 
 
 class TestSanitizeFlag:
@@ -259,7 +269,9 @@ class TestRunnerFlags:
         assert not args.no_cache
 
     def test_sweep_accepts_no_cache(self):
-        args = build_parser().parse_args(["sweep", "pc", "--no-cache", "--jobs", "2"])
+        args = build_parser().parse_args(
+            ["campaign", "run", "examples/sweep.yaml", "--no-cache", "--jobs", "2"]
+        )
         assert args.no_cache
         assert args.jobs == 2
 
@@ -305,6 +317,14 @@ class TestCheckCommand:
         args = build_parser().parse_args(["check", "--lint-only"])
         assert args.fn.__name__ == "cmd_check"
         assert args.lint_only
+
+    def test_campaign_gate_runs_smoke_through_the_remote_door(self, capsys):
+        from repro.cli import _check_campaigns
+
+        assert _check_campaigns() == 0
+        out = capsys.readouterr().out
+        assert out.startswith("validated ")
+        assert "campaign smoke done: 1 result rows" in out
 
     def test_check_lint_only_smoke(self, capsys):
         assert main(["check", "--lint-only"]) == 0

@@ -1,5 +1,6 @@
 """Cross-validation of the simulator against the interleaving oracle,
-plus the ``repro litmus`` CLI that fronts it."""
+plus its two doors: ``repro campaign run`` on a litmus spec and the
+``repro check`` litmus gate."""
 
 import dataclasses
 
@@ -8,11 +9,12 @@ import pytest
 from repro.analysis.litmuscheck import check, format_report, sweep
 from repro.analysis.parallel import Runner
 from repro.analysis.runner import RunMetrics
-from repro.cli import UsageError, _check_litmus, main
-from repro.service.schema import load_named_campaign
+from repro.cli import _check_litmus, main
+from repro.service.schema import default_campaign_dir, load_named_campaign
 from repro.workloads.litmus_oracle import LITMUS_TESTS, allowed_outcomes
 
 LITMUS = load_named_campaign("litmus")
+LITMUS_SPEC = str(default_campaign_dir() / "litmus.yaml")
 
 
 def litmus(models=None, programs=None):
@@ -23,6 +25,15 @@ def litmus(models=None, programs=None):
     if programs is not None:
         campaign = dataclasses.replace(campaign, programs=tuple(programs))
     return campaign
+
+
+def litmus_spec(path, programs, models):
+    """A narrowed ``kind: litmus`` spec file for ``repro campaign run``."""
+    path.write_text(
+        f"campaign: 1\nname: l\nkind: litmus\nprograms: [{', '.join(programs)}]\n"
+        f"models: [{', '.join(models)}]\n"
+    )
+    return str(path)
 
 
 @pytest.fixture(scope="module")
@@ -86,8 +97,7 @@ class TestCheckers:
 
 
 class TestSweep:
-    """One sweep loop serves every door; only the demonstration rule
-    differs between them."""
+    """One sweep loop serves every door, with one exit rule."""
 
     @pytest.fixture
     def undemonstrated(self, monkeypatch):
@@ -96,28 +106,22 @@ class TestSweep:
         short = dataclasses.replace(mp, pad_sets=mp.pad_sets[:1])
         monkeypatch.setitem(LITMUS_TESTS, "mp", short)
 
-    def test_missing_demo_fails_only_when_required(self, undemonstrated, capsys):
-        mp = litmus(["relaxed"], ["mp"])
-        assert sweep(mp, require_demos=False) == 0
-        assert sweep(mp) == 1
+    def test_missing_demo_fails(self, undemonstrated, capsys):
+        assert sweep(litmus(["relaxed"], ["mp"])) == 1
         assert "MISSING" in capsys.readouterr().out
 
     def test_doors_keep_their_exit_rules(self, undemonstrated, tmp_path, capsys):
-        litmus = ["litmus", "--model", "relaxed", "--program", "mp"]
-        assert main(litmus) == 0
-        assert main(litmus + ["--check"]) == 1
-        spec = tmp_path / "l.yaml"
-        spec.write_text(
-            "campaign: 1\nname: l\nkind: litmus\nprograms: [mp]\nmodels: [relaxed]\n"
-        )
-        assert main(["campaign", "run", str(spec)]) == 1
+        spec = litmus_spec(tmp_path / "l.yaml", ["mp"], ["relaxed"])
+        assert main(["campaign", "run", spec]) == 1
+        assert main(["campaign", "run", spec, "--no-cache"]) == 1
+        assert "MISSING" in capsys.readouterr().out
         assert _check_litmus() == 1
         assert "litmus gate failed" in capsys.readouterr().out
 
 
 class TestNoDiskCache:
     """Until the cache keys on engine identity, a stale entry must not be
-    able to vouch for memory ordering: the gates run memory-only."""
+    able to vouch for memory ordering: the gate runs memory-only."""
 
     def test_gate_leaves_an_empty_cache_dir_empty(self, tmp_path, monkeypatch):
         cache = tmp_path / "cache"
@@ -136,30 +140,38 @@ class TestNoDiskCache:
         disk = Runner(cache_dir=default_cache_dir())
         forged = dataclasses.replace(disk.run(cell.spec), outcome=(1, 0))
         disk._cache_store(cell.spec, forged)  # forbidden under TSO
-        assert main(["litmus", "--model", "tso", "--program", "mp"]) == 0
+        assert _check_litmus() == 0
+        spec = litmus_spec(tmp_path / "l.yaml", ["mp"], ["tso"])
+        assert main(["campaign", "run", spec, "--no-cache"]) == 0
         assert "VIOLATION" not in capsys.readouterr().out
+        # The planted entry is live: a disk-cached run does read it.
+        assert main(["campaign", "run", spec]) == 1
+        assert "VIOLATION" in capsys.readouterr().out
 
 
 class TestLitmusCLI:
     def test_default_invocation_passes(self, capsys):
-        assert main(["litmus"]) == 0
+        assert main(["campaign", "run", LITMUS_SPEC, "--no-cache"]) == 0
         out = capsys.readouterr().out
-        assert "tso" in out and "relaxed" in out
+        assert "litmus [tso]" in out and "litmus [relaxed]" in out
         assert "VIOLATION" not in out
 
-    def test_single_model_single_program(self, capsys):
-        assert main(["litmus", "--model", "tso", "--program", "mp"]) == 0
+    def test_single_model_single_program(self, tmp_path, capsys):
+        spec = litmus_spec(tmp_path / "l.yaml", ["mp"], ["tso"])
+        assert main(["campaign", "run", spec, "--no-cache"]) == 0
         out = capsys.readouterr().out
-        assert "mp" in out
-        assert "relaxed" not in out.splitlines()[0]
+        assert "litmus [tso]\n  mp " in out
+        assert "relaxed" not in out
 
     def test_check_mode_requires_demonstrations(self, capsys):
-        assert main(["litmus", "--check"]) == 0
+        assert main(["campaign", "run", LITMUS_SPEC, "--no-cache"]) == 0
         out = capsys.readouterr().out
         assert "demonstrated" in out
+        assert "MISSING" not in out
 
-    def test_unknown_program_is_a_usage_error(self, capsys):
-        assert main(["litmus", "--program", "nosuch"]) == 2
+    def test_unknown_program_is_a_usage_error(self, tmp_path, capsys):
+        spec = litmus_spec(tmp_path / "l.yaml", ["nosuch"], ["tso"])
+        assert main(["campaign", "run", spec]) == 2
         err = capsys.readouterr().err
         assert "nosuch" in err
 

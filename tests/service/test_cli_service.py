@@ -1,6 +1,8 @@
-"""CLI surface of the campaign fabric: serve/campaign/client/sweep."""
+"""CLI surface of the campaign fabric: serve/campaign/client, and the
+committed sweep spec."""
 
 import json
+import pathlib
 
 import pytest
 
@@ -8,6 +10,8 @@ from repro.analysis.parallel import Runner
 from repro.cli import build_parser, main
 from repro.service.fabric import ShardPool
 from repro.service.http import ServiceThread
+
+SWEEP_SPEC = pathlib.Path(__file__).resolve().parents[2] / "examples" / "sweep.yaml"
 
 
 class TestParser:
@@ -39,22 +43,19 @@ class TestParser:
 
     def test_client_submit_flags(self):
         args = build_parser().parse_args(
-            ["client", "submit", "c.yaml", "--wait", "--url", "http://x:1"]
+            ["client", "submit", "c.yaml", "--url", "http://x:1"]
         )
         assert args.fn.__name__ == "cmd_client"
         assert args.action == "submit"
-        assert args.wait
         assert args.url == "http://x:1"
+        # Waiting is `campaign run --remote`'s job alone.
+        for flag in ("--wait", "--timeout"):
+            with pytest.raises(SystemExit):
+                build_parser().parse_args(["client", "submit", "c.yaml", flag])
 
     def test_client_status_id_optional(self):
         args = build_parser().parse_args(["client", "status"])
         assert args.id is None
-
-    def test_sweep_emit_campaign_flag(self):
-        args = build_parser().parse_args(
-            ["sweep", "pc", "--emit-campaign", "out.yaml"]
-        )
-        assert args.emit_campaign == "out.yaml"
 
 
 class TestCampaignRunLocal:
@@ -133,46 +134,40 @@ class TestCampaignRunLocal:
 
 
 class TestSweepEmitCampaign:
-    def test_emitted_spec_runs_the_same_grid(self, tmp_path, capsys):
-        out = tmp_path / "sweep.yaml"
-        rc = main(
-            [
-                "sweep", "fmm",
-                "--values", "0.1,0.5",
-                "--seeds", "1",
-                "--threads", "2",
-                "--instructions", "400",
-                "--emit-campaign", str(out),
-            ]
-        )
-        assert rc == 0
-        assert "4 unique jobs" in capsys.readouterr().out
+    """``examples/sweep.yaml`` is the spec ``repro sweep pc
+    --emit-campaign`` wrote, plus a Fig. 1 output."""
 
-        # The emitted file expands to the exact grid the inline sweep runs.
+    def test_emitted_spec_runs_the_same_grid(self):
         from repro.service import planner, schema
 
-        campaign = schema.load_campaign(out)
+        campaign = schema.load_campaign(SWEEP_SPEC)
+        assert campaign.base == "small"
+        assert campaign.output == schema.OutputSpec(kind="figure", id="fig1")
         specs = planner.expand_campaign(campaign)
-        assert len(specs) == 4
+        assert len(specs) == 16  # 4 hot_fraction values x eager/lazy x 2 seeds
         assert {s.params.atomic_mode.value for s in specs} == {"eager", "lazy"}
+        assert {(s.num_threads, s.instructions_per_thread) for s in specs} == {
+            (8, 5000)
+        }
+        # First and last cell of the spec `repro sweep pc --emit-campaign` wrote.
+        assert specs[0].content_hash() == (
+            "79f1a52669e7d6b2c43c0ecab0da3deea81766b5c4a2ae8f3d961c5af82e8a10"
+        )
+        assert specs[-1].content_hash() == (
+            "f5d10075837e590d0e7f06a747a7a8f714c0ff73b5424db196df0b4f172c2d10"
+        )
 
-    def test_emitted_spec_replays_via_campaign_run(self, tmp_path, capsys):
-        out = tmp_path / "sweep.yaml"
-        common = [
-            "sweep", "fmm",
-            "--values", "0.2",
-            "--seeds", "1",
-            "--threads", "2",
-            "--instructions", "400",
-        ]
-        assert main(common + ["--emit-campaign", str(out)]) == 0
-        capsys.readouterr()
-        # Inline sweep warms the cache...
-        assert main(common) == 0
-        capsys.readouterr()
-        # ...and the emitted campaign replays it without simulating.
-        assert main(["campaign", "run", str(out)]) == 0
-        assert "0 simulated" in capsys.readouterr().err
+    def test_emitted_spec_replays_via_campaign_run(self, narrowed_sweep, capsys):
+        spec = narrowed_sweep("fmm", (0.2,), seeds=1, threads=2, instructions=400)
+        assert main(["campaign", "run", str(spec)]) == 0
+        first = capsys.readouterr()
+        assert "2 simulated" in first.err
+        assert "fmm-hot_fraction-0.2" in first.out
+        # A warm rerun replays the table without simulating.
+        assert main(["campaign", "run", str(spec)]) == 0
+        second = capsys.readouterr()
+        assert "0 simulated" in second.err
+        assert second.out == first.out
 
 
 class TestClientAgainstLiveService:
@@ -192,16 +187,15 @@ class TestClientAgainstLiveService:
         from repro.service.schema import default_campaign_dir
 
         spec = default_campaign_dir() / "smoke.yaml"
-        rc = main(
-            ["client", "submit", str(spec), "--wait", "--url", service_url]
-        )
+        rc = main(["campaign", "run", str(spec), "--remote", service_url])
         assert rc == 0
-        out = capsys.readouterr().out
-        assert '"state": "done"' in out
+        assert "done: 1 result rows" in capsys.readouterr().out
         status_rc = main(["client", "status", "--url", service_url])
         assert status_rc == 0
         listing = capsys.readouterr().out.strip().splitlines()
-        cid = json.loads(listing[-1])["id"]
+        status = json.loads(listing[-1])
+        assert status["state"] == "done"
+        cid = status["id"]
         assert main(["client", "fetch", cid, "--url", service_url]) == 0
         rows = [
             json.loads(line)

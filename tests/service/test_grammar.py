@@ -20,7 +20,6 @@ from repro.common.params import (
 from repro.service import planner
 from repro.service.schema import (
     BASE_PRESETS,
-    MACHINES,
     OUTPUT_KINDS,
     UNSET,
     Campaign,
@@ -40,7 +39,7 @@ from repro.service.schema import (
     to_payload,
 )
 from repro.workloads.litmus_oracle import LITMUS_TESTS
-from repro.workloads.microbench import VARIANTS
+from repro.workloads.microbench import MACHINE_PARAMS, VARIANTS
 from repro.workloads.profiles import WORKLOADS, get_profile
 
 RECORDS = (Campaign, GridSpec, WorkloadSpec, ConfigSpec, OutputSpec)
@@ -122,6 +121,13 @@ BAD = [
      "machines is only valid for kind: microbench"),
     ("campaign: 1\nname: l\nkind: litmus\nmodels: [sc]\n", "<campaign>.models[0]",
      "unknown consistency model 'sc'"),
+    # A microbenchmark runs on its machine models, a litmus shape on the
+    # quick machine at every scale: base:/scale: there would move the
+    # campaign_id without moving a cell.
+    (MICRO + "machines: [new-x86]\nbase: paper\n", "<campaign>",
+     "base is only valid for kind: grid"),
+    ("campaign: 1\nname: l\nkind: litmus\nscale: smoke\n", "<campaign>",
+     "scale is only valid for kind: grid or microbench"),
     ("campaign: 1\nname: t\n", "<campaign>", "missing required field 'grids'"),
 ]
 
@@ -179,6 +185,15 @@ class TestCommittedSpecs:
             campaign = load_campaign(path)
             for scale, cid in recorded[path.stem].items():
                 assert planner.campaign_id(campaign, scale) == cid, (path.stem, scale)
+
+    def test_table1_paper_grid_campaign_still_loads(self):
+        # Table I's campaign is in memory: a grid campaign whose only key
+        # is base: paper, which stays valid on a grid.
+        from repro.analysis.figures import load_table_campaign, render
+
+        campaign = load_table_campaign("table1")
+        assert (campaign.kind, campaign.base) == ("grid", "paper")
+        assert render(campaign, "smoke").rows[0] == ["cores", 32]
 
     def test_c_and_python_yaml_loaders_agree(self):
         if not hasattr(yaml, "CSafeLoader"):
@@ -241,8 +256,6 @@ scales = st.sampled_from(["smoke", "quick", "full", "paper"])
 common = dict(
     name=names,
     description=st.sampled_from(["", "a sweep", "12"]),
-    scale=maybe(scales),
-    base=st.sampled_from(BASE_PRESETS),
     output=outputs,
 )
 
@@ -253,8 +266,10 @@ def axis(values):
 
 campaigns = (
     st.builds(Campaign, kind=st.just("grid"),
-              grids=st.lists(grids, min_size=1, max_size=2).map(tuple), **common)
-    | st.builds(Campaign, kind=st.just("microbench"), machines=axis(MACHINES),
+              grids=st.lists(grids, min_size=1, max_size=2).map(tuple),
+              scale=maybe(scales), base=st.sampled_from(BASE_PRESETS), **common)
+    | st.builds(Campaign, kind=st.just("microbench"), scale=maybe(scales),
+                machines=axis(MACHINE_PARAMS),
                 ops=axis(["faa", "cas", "swap"]), variants=axis(VARIANTS),
                 iterations=maybe(st.integers(1, 100) | st.dictionaries(scales, st.integers(1, 100))),
                 **common)
