@@ -82,6 +82,48 @@ def _canonical(obj):
     return obj
 
 
+def _encode(value) -> str:
+    return json.dumps(value, sort_keys=True, allow_nan=False)
+
+
+#: What a cache entry's identity folds besides the spec.  ``"spec"`` sorts
+#: after both keys, so a payload is this object's JSON left open.
+_IDENTITY = {"engine": _ENGINE_VERSION, "schema": CACHE_SCHEMA_VERSION}
+_PAYLOAD_HEAD = _encode(_IDENTITY)[:-1] + ', "spec": '
+
+#: ``_encode(_canonical(value))`` of each params/workload object a payload
+#: has read, by ``id``.  Each entry holds its object, so no other object
+#: can take that id while the entry lives; threads need no lock.  Not by
+#: value: equal values can encode differently (``0 == 0.0``, ``1 ==
+#: True``).  Emptied when full, so a long-lived service keeps it bounded.
+_FRAGMENT_LIMIT = 512
+_fragments: dict[int, tuple[object, str]] = {}
+
+
+def _fragment(value) -> str:
+    if type(value) is int:  # an int field, spelled as json spells it
+        return repr(value)
+    entry = _fragments.get(id(value))
+    if entry is not None:
+        return entry[1]
+    text = _encode(_canonical(value))
+    if len(_fragments) >= _FRAGMENT_LIMIT:
+        _fragments.clear()
+    _fragments[id(value)] = (value, text)
+    return text
+
+
+def _payload(spec: "RunSpec") -> str:
+    """``_encode(spec.canonical_dict())`` byte for byte, composed from
+    per-object fragments: keys in sorted order, json's default separators.
+    The only place a payload is encoded; :meth:`RunSpec.content_hash`
+    calls it once per spec object."""
+    body = ", ".join(
+        f'"{name}": {_fragment(getattr(spec, name))}' for name in _SPEC_KEYS
+    )
+    return f"{_PAYLOAD_HEAD}{{{body}}}}}"
+
+
 @dataclass(frozen=True)
 class RunSpec:
     """Everything that determines one simulation's metrics.
@@ -95,6 +137,11 @@ class RunSpec:
     cell, generated from the int fields), a :class:`Microbench` or a
     :class:`LitmusCase`.  The last two fix their own program, so their int
     fields are fixed (1 / iterations / 0, threads / 0 / 0).
+
+    The digest and the dict hash are computed once per spec object and
+    kept on it, outside its fields: equality ignores them, and pickles and
+    copies drop them (:meth:`__getstate__`), so a ``spawn`` worker, which
+    hashes strings with another seed, hashes afresh.
     """
 
     workload: WorkloadProfile | Microbench | LitmusCase
@@ -102,6 +149,30 @@ class RunSpec:
     num_threads: int
     instructions_per_thread: int
     seed: int = 0
+
+    # First-use memos: class defaults, not fields.
+    _digest = None
+    _hash = None
+
+    def __hash__(self) -> int:
+        # The value dataclass would compute on every call.
+        if self._hash is None:
+            fields = (
+                self.workload,
+                self.params,
+                self.num_threads,
+                self.instructions_per_thread,
+                self.seed,
+            )
+            object.__setattr__(self, "_hash", hash(fields))
+        return self._hash
+
+    def __getstate__(self) -> dict:
+        return {
+            key: value
+            for key, value in self.__dict__.items()
+            if key not in ("_digest", "_hash")
+        }
 
     @classmethod
     def build(
@@ -156,15 +227,18 @@ class RunSpec:
         )
 
     def canonical_dict(self) -> dict:
-        return {
-            "engine": _ENGINE_VERSION,
-            "schema": CACHE_SCHEMA_VERSION,
-            "spec": _canonical(self),
-        }
+        """The reference form of what :meth:`content_hash` digests."""
+        return {**_IDENTITY, "spec": _canonical(self)}
 
     def content_hash(self) -> str:
-        payload = json.dumps(self.canonical_dict(), sort_keys=True, allow_nan=False)
-        return hashlib.sha256(payload.encode()).hexdigest()
+        """sha256 of ``_encode(self.canonical_dict())``, the cache key."""
+        if self._digest is None:
+            digest = hashlib.sha256(_payload(self).encode()).hexdigest()
+            object.__setattr__(self, "_digest", digest)
+        return self._digest
+
+
+_SPEC_KEYS = sorted(f.name for f in dataclasses.fields(RunSpec))
 
 
 def execute_spec(spec: RunSpec) -> RunMetrics:
@@ -317,16 +391,7 @@ class Runner:
             return
         path = self._cache_path(spec)
         path.parent.mkdir(parents=True, exist_ok=True)
-        payload = json.dumps(
-            {
-                "schema": CACHE_SCHEMA_VERSION,
-                "engine": _ENGINE_VERSION,
-                "spec": _canonical(spec),
-                "metrics": metrics.to_dict(),
-            },
-            sort_keys=True,
-            allow_nan=False,
-        )
+        payload = _encode({**spec.canonical_dict(), "metrics": metrics.to_dict()})
         # Atomic publish: a reader never sees a truncated entry, and a
         # killed sweep leaves only complete files to resume from.
         fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")

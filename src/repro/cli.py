@@ -721,9 +721,10 @@ def cmd_campaign(args) -> int:
         specs = planner.expand_campaign(campaign, scale)
     except schema.CampaignError as exc:
         raise UsageError(str(exc)) from exc
+    read = planner.scale_read(campaign, scale)
     print(
-        f"campaign {campaign.name}: {len(specs)} unique cells at scale"
-        f" {scale.name}"
+        f"campaign {campaign.name}: {len(specs)} unique cells"
+        + (f" at scale {read.name}" if read is not None else "")
     )
     rc = 0
     if campaign.kind == "litmus":  # its output is the oracle's verdict

@@ -110,9 +110,7 @@ class PredictorKind(enum.Enum):
 
 class BranchPredictorKind(enum.Enum):
     BIMODAL = "bimodal"
-    GSHARE = "gshare"
     TAGE = "tage"
-    PERCEPTRON = "perceptron"
 
 
 class ReplacementPolicy(enum.Enum):

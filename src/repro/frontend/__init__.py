@@ -2,14 +2,12 @@
 
 from repro.frontend.branch import (
     BimodalPredictor,
-    GsharePredictor,
     TagePredictor,
     make_branch_predictor,
 )
 
 __all__ = [
     "BimodalPredictor",
-    "GsharePredictor",
     "TagePredictor",
     "make_branch_predictor",
 ]

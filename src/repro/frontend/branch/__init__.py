@@ -1,9 +1,7 @@
-"""Branch predictors: bimodal, gshare and a simplified TAGE."""
+"""Branch predictors: bimodal and a simplified TAGE."""
 
 from repro.common.params import BranchPredictorKind
 from repro.frontend.branch.bimodal import BimodalPredictor
-from repro.frontend.branch.gshare import GsharePredictor
-from repro.frontend.branch.perceptron import PerceptronPredictor
 from repro.frontend.branch.tage import TagePredictor
 
 
@@ -11,19 +9,13 @@ def make_branch_predictor(kind: BranchPredictorKind):
     """Factory used by the core pipeline."""
     if kind is BranchPredictorKind.BIMODAL:
         return BimodalPredictor()
-    if kind is BranchPredictorKind.GSHARE:
-        return GsharePredictor()
     if kind is BranchPredictorKind.TAGE:
         return TagePredictor()
-    if kind is BranchPredictorKind.PERCEPTRON:
-        return PerceptronPredictor()
     raise ValueError(f"unknown branch predictor kind {kind!r}")
 
 
 __all__ = [
     "BimodalPredictor",
-    "GsharePredictor",
-    "PerceptronPredictor",
     "TagePredictor",
     "make_branch_predictor",
 ]

@@ -310,21 +310,28 @@ def campaign_workloads(
 # ---------------------------------------------------------------------------
 
 
+def scale_read(
+    campaign: Campaign, scale: ExperimentScale | str | None = None
+) -> ExperimentScale | None:
+    """The resolved scale, if the campaign's cells depend on it: a litmus
+    sweep's do not (every cell runs on ``SystemParams.quick()``)."""
+    resolved = campaign_scale(campaign, scale)
+    return None if campaign.kind == "litmus" else resolved
+
+
 def campaign_id(
     campaign: Campaign, scale: ExperimentScale | str | None = None
 ) -> str:
-    """Content address of (campaign, resolved scale) — the service's
-    dedup/resume key.  Same spec + same scale => same id, so resubmitting
-    a campaign is idempotent and a restarted server recognizes its
-    half-done work."""
-    resolved_scale = campaign_scale(campaign, scale)
-    payload = json.dumps(
-        {
-            "schema": CAMPAIGN_SCHEMA_VERSION,
-            "scale": resolved_scale.name,
-            "campaign": campaign_payload(campaign),
-        },
-        sort_keys=True,
-        allow_nan=False,
-    )
+    """Content address of (campaign, the scale it reads) — the service's
+    dedup/resume key.  Same spec + same scale read => same id, so
+    resubmitting a campaign is idempotent and a restarted server
+    recognizes its half-done work."""
+    identity = {
+        "schema": CAMPAIGN_SCHEMA_VERSION,
+        "campaign": campaign_payload(campaign),
+    }
+    read = scale_read(campaign, scale)
+    if read is not None:
+        identity["scale"] = read.name
+    payload = json.dumps(identity, sort_keys=True, allow_nan=False)
     return hashlib.sha256(payload.encode()).hexdigest()

@@ -219,6 +219,18 @@ class TestCommands:
         assert rows["pc-hot_fraction-0.1"] == "1.147"
         assert rows["pc-hot_fraction-0.5"] == "1.150"
 
+    def test_sweep_carries_its_own_title_not_the_papers_remark(
+        self, narrowed_sweep, capsys
+    ):
+        spec = narrowed_sweep("pc", (0.1, 0.5), seeds=1, threads=2, instructions=300)
+        assert main(["campaign", "run", str(spec)]) == 0
+        out = capsys.readouterr().out
+        assert "Fig.1: lazy/eager ratio of pc vs hot_fraction" in out
+        assert "canneal/freqmine" not in out
+        assert "pc-hot_fraction-0.1 | 1.147" in out
+        assert "pc-hot_fraction-0.5 | 1.150" in out
+        assert "note: geomean=1.148\n" in out
+
 
 class TestSanitizeFlag:
     def test_parser_accepts_sanitize(self):

@@ -162,6 +162,7 @@ class TestLitmusCLI:
         out = capsys.readouterr().out
         assert "litmus [tso]\n  mp " in out
         assert "relaxed" not in out
+        assert "at scale" not in out  # a litmus cell reads no scale
 
     def test_check_mode_requires_demonstrations(self, capsys):
         assert main(["campaign", "run", LITMUS_SPEC, "--no-cache"]) == 0

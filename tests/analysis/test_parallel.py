@@ -1,10 +1,16 @@
 """Runner/RunSpec tests: content hashing, disk cache, fan-out, retries."""
 
+import copy
 import dataclasses
 import gc
+import hashlib
 import json
+import multiprocessing
 import os
 import pathlib
+import pickle
+import sys
+import threading
 
 import pytest
 
@@ -26,6 +32,10 @@ from repro.analysis.runner import (
     base_params,
     config,
 )
+from repro.service import planner
+from repro.service.fabric import ShardPool
+from repro.service.schema import default_campaign_dir, load_campaign, loads_campaign
+from repro.workloads.profiles import get_profile
 from repro.workloads.synthetic import clear_program_memo
 
 PARAMS = base_params(SMOKE)
@@ -41,6 +51,11 @@ def _spec(seed: int = 0, params=PARAMS) -> RunSpec:
 
 def _cache_files(cache_dir) -> list[pathlib.Path]:
     return sorted(pathlib.Path(cache_dir).glob("*/*.json"))
+
+
+def _reference_digest(spec: RunSpec) -> str:
+    payload = json.dumps(spec.canonical_dict(), sort_keys=True, allow_nan=False)
+    return hashlib.sha256(payload.encode()).hexdigest()
 
 
 class TestRunSpec:
@@ -71,6 +86,175 @@ class TestRunSpec:
         specs = RunSpec.grid(("fmm", "pc"), (EAGER, LAZY), SMOKE)
         assert len(specs) == 2 * 2 * len(SMOKE.seeds)
         assert len(set(specs)) == len(specs)
+
+
+def _rehashing_worker(spec: RunSpec):
+    """Runs a cell only if it hashes here as an equal spec built here does."""
+    if hash(spec) != hash(dataclasses.replace(spec)):
+        raise RuntimeError("the spec carried a hash from another process")
+    return execute_spec(spec)
+
+
+class TestIdentityContract:
+    """A spec's digest and dict hash are computed once and kept on it;
+    what is kept equals the reference formula and never leaves the
+    object."""
+
+    def test_every_committed_cell_digests_as_the_reference_formula(self):
+        kinds = set()
+        for path in sorted(default_campaign_dir().glob("*.yaml")):
+            campaign = load_campaign(path)
+            kinds.add(campaign.kind)
+            for scale in ("smoke", "quick"):
+                for spec in planner.expand_campaign(campaign, scale):
+                    assert spec.content_hash() == _reference_digest(spec), (
+                        path.stem,
+                        scale,
+                    )
+        assert kinds == {"grid", "microbench", "litmus"}
+
+    def test_equal_values_that_encode_differently_keep_their_own_digest(self):
+        # 0 == 0.0, so the two specs are equal, but their payloads differ.
+        as_int, as_float = (
+            RunSpec.build(get_profile("pc").with_overrides(hot_fraction=v), PARAMS, SMOKE)
+            for v in (0, 0.0)
+        )
+        assert as_int == as_float
+        assert as_int.content_hash() == _reference_digest(as_int)
+        assert as_float.content_hash() == _reference_digest(as_float)
+        assert as_int.content_hash() != as_float.content_hash()
+
+    @pytest.mark.parametrize(
+        "clone",
+        [lambda s: pickle.loads(pickle.dumps(s)), copy.copy, copy.deepcopy],
+        ids=["pickle", "copy", "deepcopy"],
+    )
+    def test_pickles_and_copies_carry_no_memo(self, clone):
+        spec = _spec()
+        digest, hashed = spec.content_hash(), hash(spec)
+        assert digest.encode() not in pickle.dumps(spec)
+        twin = clone(spec)
+        assert set(vars(twin)) == {f.name for f in dataclasses.fields(RunSpec)}
+        assert twin == spec
+        assert hash(twin) == hashed
+        assert twin.content_hash() == digest
+
+    def test_replace_gets_its_own_digest(self):
+        spec = _spec()
+        digest = spec.content_hash()
+        other = dataclasses.replace(spec, seed=spec.seed + 1)
+        assert other.content_hash() != digest
+        assert other.content_hash() == _reference_digest(other)
+        assert dataclasses.replace(spec).content_hash() == digest
+
+    def test_threads_sharing_the_fragment_memo_get_reference_digests(
+        self, monkeypatch
+    ):
+        # A service hashes from its HTTP and dispatcher threads at once; a
+        # small bound makes the memo empty itself under them.
+        monkeypatch.setattr(parallel, "_FRAGMENT_LIMIT", 4)
+        interval = sys.getswitchinterval()
+        wrong = []
+
+        def hash_fresh_specs(offset):
+            for cores in range(1, 41):
+                spec = _spec(params=dataclasses.replace(PARAMS, num_cores=cores))
+                spec = dataclasses.replace(spec, seed=offset)
+                if spec.content_hash() != _reference_digest(spec):
+                    wrong.append(spec)
+
+        threads = [
+            threading.Thread(target=hash_fresh_specs, args=(i,)) for i in range(4)
+        ]
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert wrong == []
+
+    def test_spawned_pool_matches_serial_for_hashed_specs(self, monkeypatch):
+        specs = RunSpec.grid(("fmm", "pc"), (EAGER,), TINY)
+        for spec in specs:
+            hash(spec), spec.content_hash()
+        serial = Runner(jobs=1).run_many(specs)
+        spawn = multiprocessing.get_context("spawn")
+        monkeypatch.setattr(
+            parallel.multiprocessing, "get_context", lambda method=None: spawn
+        )
+        # Workers hash strings with a seed other than this process's.
+        seed = os.environ.get("PYTHONHASHSEED")
+        monkeypatch.setenv("PYTHONHASHSEED", "2" if seed == "1" else "1")
+        pooled = Runner(jobs=2, retries=0, worker=_rehashing_worker)
+        assert pooled.run_many(specs) == serial
+
+
+GRID_TEXT = """
+campaign: 1
+name: counted
+scale: smoke
+workloads: [fmm, pc]
+configs:
+  - {name: eager, mode: eager}
+  - {name: lazy, mode: lazy}
+seeds: [0]
+num_threads: 2
+instructions_per_thread: 200
+"""
+
+
+class TestDigestsComputed:
+    """How many payloads each path encodes: exact, so a lost memo shows."""
+
+    @pytest.fixture
+    def count(self, monkeypatch):
+        calls = []
+        encode = parallel._payload
+
+        def counted(spec):
+            calls.append(spec)
+            return encode(spec)
+
+        monkeypatch.setattr(parallel, "_payload", counted)
+        return calls
+
+    @pytest.fixture
+    def template(self):
+        return execute_spec(RunSpec.build("fmm", EAGER, TINY))
+
+    def test_runner_cold_then_fresh_runner(self, count, template, tmp_path):
+        specs = planner.expand_campaign(loads_campaign(GRID_TEXT))
+        assert len(specs) == 4
+        cold = Runner(cache_dir=tmp_path, worker=lambda spec: template)
+        cold.run_many(specs)
+        assert (cold.stats.simulated, len(count)) == (4, 4)
+        del count[:]
+        warm = Runner(cache_dir=tmp_path)
+        warm.run_many(specs)
+        assert (warm.stats.disk_hits, len(count)) == (4, 0)
+
+    def test_shard_pool_warm_resubmit_with_result_rows(
+        self, count, template, tmp_path
+    ):
+        def serve(runner):
+            pool = ShardPool(runner)
+            pool.start()
+            try:
+                run = pool.submit(loads_campaign(GRID_TEXT))
+                assert run.wait(timeout=60) and run.state == "done"
+            finally:
+                pool.stop()
+            assert len(run.result_rows()) == 4
+            return run
+
+        serve(Runner(cache_dir=tmp_path, worker=lambda spec: template))
+        del count[:]
+        run = serve(Runner(cache_dir=tmp_path))
+        assert (run.cache_hits, len(count)) == (4, 4)
 
 
 class TestDiskCache:

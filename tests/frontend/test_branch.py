@@ -1,22 +1,15 @@
-"""Branch predictor tests: bimodal, gshare, TAGE."""
+"""Branch predictor tests: bimodal, TAGE."""
 
 import pytest
 
 from repro.common.params import BranchPredictorKind
 from repro.frontend.branch import (
     BimodalPredictor,
-    GsharePredictor,
-    PerceptronPredictor,
     TagePredictor,
     make_branch_predictor,
 )
 
-ALL_PREDICTORS = [
-    BimodalPredictor,
-    GsharePredictor,
-    TagePredictor,
-    PerceptronPredictor,
-]
+ALL_PREDICTORS = [BimodalPredictor, TagePredictor]
 
 
 def accuracy(pred, stream):
@@ -47,14 +40,7 @@ class TestFactory:
             make_branch_predictor(BranchPredictorKind.BIMODAL), BimodalPredictor
         )
         assert isinstance(
-            make_branch_predictor(BranchPredictorKind.GSHARE), GsharePredictor
-        )
-        assert isinstance(
             make_branch_predictor(BranchPredictorKind.TAGE), TagePredictor
-        )
-        assert isinstance(
-            make_branch_predictor(BranchPredictorKind.PERCEPTRON),
-            PerceptronPredictor,
         )
 
 
@@ -67,12 +53,6 @@ class TestCommonBehaviour:
         assert accuracy(cls(), biased_stream(taken=False)) > 0.95
 
     def test_distinct_pcs_independent(self, cls):
-        if cls in (GsharePredictor, PerceptronPredictor):
-            pytest.skip(
-                "global-history predictors legitimately couple interleaved"
-                " opposite-bias PCs (gshare aliases; the perceptron needs"
-                " more than 50 samples to separate them)"
-            )
         pred = cls()
         for _ in range(50):
             pred.update(0x40, True)
@@ -100,22 +80,6 @@ class TestBimodal:
         assert pred.predict(0) is True
 
 
-class TestGshare:
-    def test_history_length_masked(self):
-        pred = GsharePredictor(history_bits=4)
-        for _ in range(100):
-            pred.update(0, True)
-        assert pred.history == pred.history_mask
-
-    def test_beats_bimodal_on_periodic_pattern(self):
-        g = accuracy(GsharePredictor(), history_stream())
-        b = accuracy(BimodalPredictor(), history_stream())
-        assert g > b
-
-    def test_periodic_pattern_learned_well(self):
-        assert accuracy(GsharePredictor(), history_stream()) > 0.9
-
-
 class TestTage:
     def test_periodic_pattern_learned_well(self):
         assert accuracy(TagePredictor(), history_stream()) > 0.9
@@ -126,7 +90,7 @@ class TestTage:
         assert t > b
 
     def test_long_period_needs_long_history(self):
-        # Period 12 exceeds gshare-like short correlation but fits TAGE's
+        # Period 12 exceeds short-history correlation but fits TAGE's
         # longer tables.
         stream = history_stream(n=1500, period=12)
         assert accuracy(TagePredictor(), stream) > 0.8
@@ -169,38 +133,3 @@ class TestTage:
             )
         )
         assert accuracy(TagePredictor(), stream) > 0.85
-
-
-class TestPerceptron:
-    def test_rejects_non_pow2(self):
-        with pytest.raises(ValueError):
-            PerceptronPredictor(entries=100)
-
-    def test_learns_periodic_pattern(self):
-        assert accuracy(PerceptronPredictor(), history_stream()) > 0.9
-
-    def test_beats_bimodal_on_periodic_pattern(self):
-        p = accuracy(PerceptronPredictor(), history_stream())
-        b = accuracy(BimodalPredictor(), history_stream())
-        assert p > b
-
-    def test_weights_saturate(self):
-        pred = PerceptronPredictor(entries=16, history_bits=4)
-        for _ in range(2000):
-            pred.update(0x40, True)
-        w = pred.weights[pred.index(0x40)]
-        assert all(abs(x) <= pred.weight_limit for x in w)
-
-    def test_learns_linearly_separable_xor_free_pattern(self):
-        # taken iff the last branch was taken (pure correlation).
-        pred = PerceptronPredictor()
-        last = True
-        correct = 0
-        n = 600
-        for i in range(n):
-            taken = last
-            if pred.predict(0x40) == taken:
-                correct += 1
-            pred.update(0x40, taken)
-            last = i % 5 != 0  # an external driver pattern
-        assert correct / n > 0.7

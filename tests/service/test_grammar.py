@@ -186,6 +186,15 @@ class TestCommittedSpecs:
             for scale, cid in recorded[path.stem].items():
                 assert planner.campaign_id(campaign, scale) == cid, (path.stem, scale)
 
+    def test_a_litmus_id_folds_no_scale(self):
+        # Every scale expands a litmus sweep to the same cells, so one
+        # submission at each must be one service campaign.
+        campaign = load_campaign(default_campaign_dir() / "litmus.yaml")
+        ids = {planner.campaign_id(campaign, scale) for scale in ("smoke", "quick")}
+        assert len(ids) == 1
+        with pytest.raises(ValueError):
+            planner.campaign_id(campaign, "no-such-scale")
+
     def test_table1_paper_grid_campaign_still_loads(self):
         # Table I's campaign is in memory: a grid campaign whose only key
         # is base: paper, which stays valid on a grid.
