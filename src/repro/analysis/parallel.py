@@ -356,16 +356,22 @@ class Runner:
     def clear_memo(self) -> None:
         self._memo.clear()
 
-    def _cache_path(self, spec: RunSpec) -> pathlib.Path:
+    def _cache_path(self, spec: RunSpec) -> str:
+        # A plain string: joining and opening through pathlib cost a disk
+        # hit about as much as parsing the entry.
         digest = spec.content_hash()
-        return self.cache_dir / digest[:2] / f"{digest}.json"
+        return f"{self.cache_dir}/{digest[:2]}/{digest}.json"
 
     def _cache_load(self, spec: RunSpec) -> RunMetrics | None:
+        """The entry's metrics, or None on a miss.  Keys besides
+        ``schema`` and ``metrics`` are ignored: older entries also held
+        a copy of the spec."""
         if self.cache_dir is None:
             return None
         path = self._cache_path(spec)
         try:
-            payload = json.loads(path.read_text())
+            with open(path, "rb") as fh:
+                payload = json.loads(fh.read())
         except FileNotFoundError:
             return None
         except (OSError, ValueError):
@@ -379,10 +385,10 @@ class Runner:
             self._cache_discard(path)
             return None
 
-    def _cache_discard(self, path: pathlib.Path) -> None:
+    def _cache_discard(self, path: str) -> None:
         self.stats.corrupt_discarded += 1
         try:
-            path.unlink()
+            os.unlink(path)
         except OSError:
             pass
 
@@ -390,11 +396,16 @@ class Runner:
         if self.cache_dir is None:
             return
         path = self._cache_path(spec)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        payload = _encode({**spec.canonical_dict(), "metrics": metrics.to_dict()})
+        folder = os.path.dirname(path)
+        os.makedirs(folder, exist_ok=True)
+        # Only what _cache_load reads back: the file name is the spec's
+        # identity, so the entry needs no copy of the spec.
+        payload = _encode(
+            {"schema": CACHE_SCHEMA_VERSION, "metrics": metrics.to_dict()}
+        )
         # Atomic publish: a reader never sees a truncated entry, and a
         # killed sweep leaves only complete files to resume from.
-        fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
+        fd, tmp = tempfile.mkstemp(dir=folder, suffix=".tmp")
         try:
             with os.fdopen(fd, "w") as fh:
                 fh.write(payload)

@@ -209,13 +209,12 @@ class RunMetrics:
     def from_dict(cls, payload: dict) -> "RunMetrics":
         if not isinstance(payload, dict):
             raise ValueError(f"RunMetrics payload must be a dict, got {payload!r}")
-        names = [f.name for f in fields(cls) if f.name != "outcome"]
-        missing = [n for n in names if n not in payload]
+        missing = [n for n in _REQUIRED_FIELDS if n not in payload]
         if missing:
             raise ValueError(f"RunMetrics payload missing fields: {missing}")
         outcome = payload.get("outcome")
         return cls(
-            **{n: payload[n] for n in names},
+            **{n: payload[n] for n in _REQUIRED_FIELDS},
             outcome=None if outcome is None else tuple(outcome),
         )
 
@@ -228,6 +227,11 @@ class RunMetrics:
     @classmethod
     def from_json(cls, text: str) -> "RunMetrics":
         return cls.from_dict(json.loads(text))
+
+
+#: Every field a payload must carry (``outcome`` is litmus-only), listed
+#: once rather than on every cache hit.
+_REQUIRED_FIELDS = [f.name for f in fields(RunMetrics) if f.name != "outcome"]
 
 
 def mean_over_seeds(metrics: list[RunMetrics], attr: str) -> float:

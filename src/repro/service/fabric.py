@@ -43,8 +43,9 @@ from repro.service.schema import (
     to_payload,
 )
 
-#: Campaign lifecycle states.  "queued" and "running" are the resumable
-#: ones; a restarted pool requeues them.
+#: Campaign lifecycle states.  A state file is written at submit
+#: ("queued") and at the end ("done" or "failed"); "running" is in memory
+#: only.  A restarted pool requeues every file that has not ended.
 STATES = ("queued", "running", "done", "failed")
 
 
@@ -62,6 +63,9 @@ class CampaignRun:
     simulated: int = 0
     cache_hits: int = 0
     error: str | None = None
+    #: ``campaign_payload(campaign)``, encoded once for both state
+    #: writes; None when the run is not persisted.
+    document: dict | None = None
     events: list[dict] = field(default_factory=list)
     metrics: dict[RunSpec, RunMetrics] = field(default_factory=dict)
     _finished: threading.Event = field(default_factory=threading.Event)
@@ -153,7 +157,7 @@ class ShardPool:
 
     def stop(self, wait: bool = True) -> None:
         """Stop after the in-flight cell; unfinished campaigns stay
-        "running"/"queued" on disk for the next pool to resume."""
+        "queued" on disk for the next pool to resume."""
         with self._wake:
             self._stop = True
             self._wake.notify_all()
@@ -166,26 +170,35 @@ class ShardPool:
     def submit(
         self, campaign: Campaign, scale: ExperimentScale | str | None = None
     ) -> CampaignRun:
-        """Queue a campaign of any kind; idempotent on its content id."""
+        """Queue a campaign of any kind; idempotent on its content id.
+
+        A known id that has not failed returns its run before any cell is
+        expanded; a new or failed one expands outside the lock."""
         resolved_scale = campaign_scale(campaign, scale)
         cid = campaign_id(campaign, resolved_scale)
+        with self._lock:
+            existing = self._live(cid)
+        if existing is not None:
+            return existing
         cells = list(iter_cells(campaign, resolved_scale))
+        specs = list(dict.fromkeys(cell.spec for cell in cells))
+        document = None
+        if self.state_dir is not None:
+            try:
+                document = campaign_payload(campaign)
+            except CampaignError:
+                pass  # in-memory-profile campaigns can't be persisted
         with self._wake:
-            existing = self._runs.get(cid)
-            if existing is not None and existing.state != "failed":
+            existing = self._live(cid)
+            if existing is not None:
                 return existing
-            seen: set[RunSpec] = set()
-            specs = []
-            for cell in cells:
-                if cell.spec not in seen:
-                    seen.add(cell.spec)
-                    specs.append(cell.spec)
             run = CampaignRun(
                 id=cid,
                 campaign=campaign,
                 scale=resolved_scale,
                 cells=cells,
                 specs=specs,
+                document=document,
             )
             run.events.append(
                 {"event": "submitted", "id": cid, "total": run.total}
@@ -195,6 +208,12 @@ class ShardPool:
             self._wake.notify_all()
         self._persist(run)
         return run
+
+    def _live(self, cid: str) -> CampaignRun | None:
+        """The run of ``cid`` unless it is unknown or failed (a failed
+        campaign may be resubmitted).  The caller holds the lock."""
+        run = self._runs.get(cid)
+        return None if run is None or run.state == "failed" else run
 
     def resume_pending(self) -> list[CampaignRun]:
         """Requeue persisted campaigns that never reached done/failed.
@@ -247,7 +266,8 @@ class ShardPool:
                 run = self._queue.pop(0)
                 run.state = "running"
                 run.events.append({"event": "running", "id": run.id})
-            self._persist(run)
+            # No state write: the file still says "queued", which a
+            # restarted pool requeues just the same.
             if not self._execute(run):
                 return  # stop requested mid-campaign
 
@@ -258,7 +278,7 @@ class ShardPool:
             for spec, metrics, source in stream:
                 self._record(run, spec, metrics, source)
                 if self._stop:
-                    # Leave the persisted state "running": the next pool's
+                    # Leave the persisted state "queued": the next pool's
                     # resume_pending requeues it and the cells recorded so
                     # far come back as disk hits.
                     return False
@@ -315,23 +335,20 @@ class ShardPool:
     # -- persistence ---------------------------------------------------
 
     def _persist(self, run: CampaignRun) -> None:
-        if self.state_dir is None:
+        if run.document is None:
             return
-        try:
-            payload = json.dumps(
-                {
-                    "id": run.id,
-                    "state": run.state,
-                    "scale": run.scale.name,
-                    "completed": run.completed,
-                    "simulated": run.simulated,
-                    "campaign": campaign_payload(run.campaign),
-                },
-                sort_keys=True,
-                allow_nan=False,
-            )
-        except CampaignError:
-            return  # in-memory-profile campaigns can't be persisted
+        payload = json.dumps(
+            {
+                "id": run.id,
+                "state": run.state,
+                "scale": run.scale.name,
+                "completed": run.completed,
+                "simulated": run.simulated,
+                "campaign": run.document,
+            },
+            sort_keys=True,
+            allow_nan=False,
+        )
         self.state_dir.mkdir(parents=True, exist_ok=True)
         path = self.state_dir / f"{run.id}.json"
         # Atomic publish, same discipline as the result cache.

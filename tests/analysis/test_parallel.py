@@ -1,5 +1,6 @@
 """Runner/RunSpec tests: content hashing, disk cache, fan-out, retries."""
 
+import contextlib
 import copy
 import dataclasses
 import gc
@@ -51,6 +52,12 @@ def _spec(seed: int = 0, params=PARAMS) -> RunSpec:
 
 def _cache_files(cache_dir) -> list[pathlib.Path]:
     return sorted(pathlib.Path(cache_dir).glob("*/*.json"))
+
+
+@pytest.fixture
+def template():
+    """Real metrics for a stub worker to hand out."""
+    return execute_spec(RunSpec.build("fmm", EAGER, TINY))
 
 
 def _reference_digest(spec: RunSpec) -> str:
@@ -222,10 +229,6 @@ class TestDigestsComputed:
         monkeypatch.setattr(parallel, "_payload", counted)
         return calls
 
-    @pytest.fixture
-    def template(self):
-        return execute_spec(RunSpec.build("fmm", EAGER, TINY))
-
     def test_runner_cold_then_fresh_runner(self, count, template, tmp_path):
         specs = planner.expand_campaign(loads_campaign(GRID_TEXT))
         assert len(specs) == 4
@@ -255,6 +258,45 @@ class TestDigestsComputed:
         del count[:]
         run = serve(Runner(cache_dir=tmp_path))
         assert (run.cache_hits, len(count)) == (4, 4)
+
+
+#: The benchmark's smoke grid: four workloads × three atomic policies.
+SMOKE_GRID_TEXT = """
+campaign: 1
+name: smoke-grid
+scale: smoke
+workloads: [pc, cq, canneal, blackscholes]
+configs:
+  - {name: eager, mode: eager}
+  - {name: lazy, mode: lazy}
+  - {name: row, mode: row, detection: rw+dir, predictor: u/d, forwarding: true}
+seeds: [0]
+"""
+
+#: The list of the :func:`_opened_files` block in progress, if any.
+_recording: list[list[str]] = []
+
+
+def _record_open(event, args):
+    if event == "open" and _recording and isinstance(args[0], (str, os.PathLike)):
+        _recording[0].append(os.fspath(args[0]))
+
+
+@contextlib.contextmanager
+def _opened_files(root):
+    """Every file the process opens under ``root`` inside the block.  An
+    audit hook sees opens by any route (``open``, ``pathlib``, ``os.open``);
+    it cannot be removed, so it is added once and records only here."""
+    if not getattr(_record_open, "added", False):
+        sys.addaudithook(_record_open)
+        _record_open.added = True
+    opened: list[str] = []
+    _recording.append(opened)
+    try:
+        yield opened
+    finally:
+        _recording.clear()
+    opened[:] = [path for path in opened if pathlib.Path(path).is_relative_to(root)]
 
 
 class TestDiskCache:
@@ -306,6 +348,58 @@ class TestDiskCache:
         r.run(_spec())
         assert r.stats.corrupt_discarded == 1
         assert r.stats.simulated == 1
+
+    def test_an_entry_holds_only_what_is_read_back(self, tmp_path):
+        Runner(cache_dir=tmp_path).run(_spec())
+        (path,) = _cache_files(tmp_path)
+        assert set(json.loads(path.read_text())) == {"schema", "metrics"}
+
+    def test_an_entry_that_also_holds_its_spec_is_a_hit(self, tmp_path):
+        """Entries written while they carried a copy of the spec stay warm."""
+        fresh = Runner(cache_dir=tmp_path).run(_spec())
+        (path,) = _cache_files(tmp_path)
+        older = {**_spec().canonical_dict(), "metrics": fresh.to_dict()}
+        path.write_text(json.dumps(older, sort_keys=True, allow_nan=False))
+        warm = Runner(cache_dir=tmp_path)
+        again = warm.run(_spec())
+        assert (warm.stats.disk_hits, warm.stats.simulated) == (1, 0)
+        assert warm.stats.corrupt_discarded == 0
+        assert again.to_json() == fresh.to_json()
+
+    def test_cold_and_warm_passes_never_walk_the_reference_spec(
+        self, template, tmp_path, monkeypatch
+    ):
+        specs = planner.expand_campaign(loads_campaign(GRID_TEXT))
+        assert len(specs) == 4
+        walks = []
+        reference = RunSpec.canonical_dict
+
+        def counted(spec):
+            walks.append(spec)
+            return reference(spec)
+
+        monkeypatch.setattr(RunSpec, "canonical_dict", counted)
+        Runner(cache_dir=tmp_path, worker=lambda spec: template).run_many(specs)
+        warm = Runner(cache_dir=tmp_path)
+        warm.run_many(specs)
+        assert warm.stats.disk_hits == 4
+        assert walks == []
+
+    def test_a_warm_smoke_grid_opens_one_small_entry_per_cell(self, tmp_path):
+        """Counted, not timed: a disk hit reads one file, and that file is
+        the metrics alone (a spec copy would add about 2 KB)."""
+        campaign = loads_campaign(SMOKE_GRID_TEXT)
+        specs = planner.expand_campaign(campaign)
+        assert len(specs) == 12
+        Runner(cache_dir=tmp_path).run_many(specs)
+        warm = Runner(cache_dir=tmp_path)
+        with _opened_files(tmp_path) as opened:
+            warm.run_many(specs)
+        assert warm.stats.disk_hits == 12
+        entries = {warm._cache_path(spec) for spec in specs}
+        assert sorted(opened) == sorted(entries)
+        sizes = [os.path.getsize(path) for path in opened]
+        assert max(sizes) < 1200, sizes
 
     def test_resume_partial_sweep(self, tmp_path):
         specs = RunSpec.grid(("fmm",), (EAGER, LAZY), SMOKE)

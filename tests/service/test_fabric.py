@@ -1,12 +1,15 @@
 """ShardPool: dedup across overlapping campaigns, restart resume."""
 
+import json
+import pathlib
+import threading
 import time
 
 import pytest
 
 from repro.analysis.parallel import Runner
 from repro.analysis.runner import RunMetrics
-from repro.service import planner
+from repro.service import fabric, planner
 from repro.service.client import ServiceClient
 from repro.service.fabric import ShardPool
 from repro.service.http import ServiceThread
@@ -83,6 +86,84 @@ class TestSubmission:
             assert run.state == "queued" and run.total > 0, path.stem
         assert len(pool.list_runs()) == 22
         assert runner.stats.simulated == 0
+
+    def test_resubmitting_a_known_campaign_expands_nothing(
+        self, tmp_path, monkeypatch
+    ):
+        runner, pool = make_pool(tmp_path)  # never started: stays queued
+        first = pool.submit(loads_campaign(SMOKE_SPEC))
+        expanded = []
+        iter_cells = fabric.iter_cells
+
+        def counted(*args):
+            expanded.append(args)
+            return iter_cells(*args)
+
+        monkeypatch.setattr(fabric, "iter_cells", counted)
+        assert pool.submit(loads_campaign(SMOKE_SPEC)) is first
+        assert expanded == []
+        # A failed campaign may be resubmitted, and is expanded afresh.
+        first.state = "failed"
+        again = pool.submit(loads_campaign(SMOKE_SPEC))
+        assert again is not first and again.state == "queued"
+        assert len(expanded) == 1
+
+    def test_racing_submissions_of_one_campaign_queue_one_run(
+        self, tmp_path, monkeypatch
+    ):
+        """Expansion runs outside the lock, so racers all get past the
+        first look; the second look, under the lock, must still hand
+        every one of them the one run."""
+        runner, pool = make_pool(tmp_path, state=False)  # never started
+        iter_cells = fabric.iter_cells
+
+        def slow(*args):
+            time.sleep(0.05)  # every racer is expanding at once
+            return iter_cells(*args)
+
+        monkeypatch.setattr(fabric, "iter_cells", slow)
+        barrier = threading.Barrier(8)
+        runs = []
+
+        def submit():
+            campaign = loads_campaign(SMOKE_SPEC)
+            barrier.wait(timeout=60)
+            runs.append(pool.submit(campaign))
+
+        threads = [threading.Thread(target=submit) for _ in range(8)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+        assert not any(thread.is_alive() for thread in threads)
+        assert len(runs) == 8 and all(run is runs[0] for run in runs)
+        assert pool.list_runs() == [runs[0]]
+        assert pool._queue == [runs[0]]
+
+    def test_a_campaign_publishes_its_state_twice(self, tmp_path, monkeypatch):
+        """Once queued and once done: "running" is never written."""
+        pool = ShardPool(Runner(), state_dir=tmp_path / "state")
+        states, documents = [], []
+        replace, payload = fabric.os.replace, fabric.campaign_payload
+
+        def published(src, dst):
+            replace(src, dst)
+            states.append(json.loads(pathlib.Path(dst).read_text())["state"])
+
+        def encoded(campaign):
+            documents.append(campaign)
+            return payload(campaign)
+
+        monkeypatch.setattr(fabric.os, "replace", published)
+        monkeypatch.setattr(fabric, "campaign_payload", encoded)
+        pool.start()
+        try:
+            run = pool.submit(loads_campaign(SMOKE_SPEC))
+            assert run.wait(timeout=60) and run.state == "done"
+        finally:
+            pool.stop()
+        assert states == ["queued", "done"]
+        assert len(documents) == 1
 
     def test_result_rows_unavailable_until_done(self, tmp_path):
         runner, pool = make_pool(tmp_path)
@@ -181,7 +262,7 @@ class TestResume:
         pool1.start()
         run1 = pool1.submit(campaign)
         # Stop as soon as the first cell lands; stop() waits for the
-        # dispatcher to exit, leaving the persisted state "running".
+        # dispatcher to exit, leaving the persisted state "queued".
         while run1.completed == 0 and run1.state != "done":
             time.sleep(0.005)
         pool1.stop()
